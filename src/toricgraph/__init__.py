@@ -1,13 +1,14 @@
 """Homological invariants of toric ideals of connected bipartite graphs.
 
-The pipeline: even cycles give binomial generators of the toric ideal, a
-binomial-specialized Buchberger run gives the initial ideal, the Hilbert
-series of the initial ideal gives the h-polynomial and Krull dimension, and
-Cohen-Macaulayness of bipartite edge rings turns those into the full tuple
-(regularity, deg h, projective dimension, depth, dimension).  The atlas
-enumerates all connected bipartite graphs on n vertices up to isomorphism
-and verifies the realized (regularity, pdim) pairs against their closed-form
-characterization.
+The pipeline: even cycles give binomial generators of the toric ideal; they
+form a universal Groebner basis, so keeping their minimal leading terms and
+reducing the tails gives the initial ideal (Buchberger's algorithm is kept as
+an oracle); the Hilbert series of the initial ideal gives the h-polynomial
+and Krull dimension, and Cohen-Macaulayness of bipartite edge rings turns
+those into the full tuple (regularity, deg h, projective dimension, depth,
+dimension).  The atlas enumerates all connected bipartite graphs on n
+vertices up to isomorphism and verifies the realized (regularity, pdim)
+pairs against their closed-form characterization.
 """
 
 from .graphs import (
@@ -62,6 +63,7 @@ from .groebner import (
     compare,
     initial_ideal,
     normal_form,
+    reduce_universal,
 )
 from .hilbert import (
     HilbertData,

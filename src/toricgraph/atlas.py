@@ -235,8 +235,6 @@ def cache_load(n: int, directory: str | None = None) -> dict[str, AtlasRecord]:
 # ---------------------------------------------------------------------------
 # sweeping and verification
 
-_sweep_memo: dict[int, list[tuple[Graph, AtlasRecord]]] = {}
-
 
 def sweep(
     n: int,
@@ -247,8 +245,6 @@ def sweep(
 ) -> list[tuple[Graph, AtlasRecord]]:
     """Enumerate all classes on n vertices and attach records, reusing the
     JSONL cache for graphs already analyzed."""
-    if n in _sweep_memo:
-        return _sweep_memo[n]
     cached = cache_load(n, directory) if use_cache else {}
     graphs = list(_enumerate_with_codes(n, force))
     out: list[tuple[Graph, AtlasRecord]] = []
@@ -270,7 +266,6 @@ def sweep(
             if use_cache:
                 cache_store(rec, directory)
     out.sort(key=lambda pair: pair[1].code)
-    _sweep_memo[n] = out
     return out
 
 

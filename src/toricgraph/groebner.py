@@ -1,10 +1,13 @@
-"""Monomial orders, binomial reduction, and Buchberger's algorithm.
+"""Monomial orders, binomial reduction, and reduced Groebner bases.
 
 Everything here is specialized to ideals generated by differences of
 monomials with unit coefficients: reducing a monomial by such a basis yields
 a single monomial, reducing a difference yields a difference or zero, so no
-general polynomial arithmetic is needed.  S-pairs are pruned with the
-coprime and Gebauer-Moeller chain criteria.
+general polynomial arithmetic is needed.  Two routes end in the same reduced
+basis: `reduce_universal` minimalizes and interreduces generators that
+already form a universal Groebner basis (the even-cycle binomials of a
+bipartite graph), and `buchberger` completes arbitrary binomial generators
+first, pruning S-pairs with the coprime and Gebauer-Moeller chain criteria.
 """
 
 from __future__ import annotations
@@ -131,6 +134,63 @@ def normal_form(order, basis, target):
     return _nf_monomial(target, lms, tails, masks)
 
 
+def _ring_size(gens: list[Binomial], nvars: int | None) -> int:
+    if gens:
+        q = len(gens[0].plus)
+        if any(len(g.plus) != q for g in gens):
+            raise ValueError("generators live in different rings")
+        if nvars is not None and nvars != q:
+            raise ValueError(f"nvars={nvars} but generators have {q} variables")
+        return q
+    if nvars is None:
+        raise ValueError("nvars is required when there are no generators")
+    return nvars
+
+
+def _reduce(order: MonomialOrder, q: int, lms: list[Monomial], tails: list[Monomial]) -> ReducedGB:
+    """Reduced basis from a marked Groebner basis (leading monomials `lms`,
+    tails `tails`) of the ideal."""
+    key = order.key
+    masks = [_mask(m) for m in lms]
+    # minimalize: drop elements whose leading monomial another one divides
+    order_idx = sorted(range(len(lms)), key=lambda i: key(lms[i]))
+    kept_idx: list[int] = []
+    for i in order_idx:
+        if not any(masks[j] & masks[i] == masks[j] and _divides(lms[j], lms[i])
+                   for j in kept_idx):
+            kept_idx.append(i)
+    min_lms = [lms[i] for i in kept_idx]
+    min_tails = [tails[i] for i in kept_idx]
+    min_masks = [masks[i] for i in kept_idx]
+    # interreduce tails against the minimal basis (tails cannot be divisible
+    # by their own leading monomial: equal degree would force equality)
+    elements = []
+    for lm, tail in zip(min_lms, min_tails):
+        elements.append(Binomial(lm, _nf_monomial(tail, min_lms, min_tails, min_masks)))
+    elements.sort(key=lambda b: key(b.plus))
+    return ReducedGB(order, q, tuple(elements))
+
+
+def reduce_universal(order: MonomialOrder, gens, nvars: int | None = None) -> ReducedGB:
+    """Reduced Groebner basis of the ideal generated by `gens`, provided the
+    generators already form a universal Groebner basis of it; no S-pair is
+    formed.
+
+    The incidence matrix of a bipartite graph is totally unimodular, so its
+    circuits, the even-cycle binomials, are a universal Groebner basis of the
+    toric ideal (Sturmfels, *Groebner Bases and Convex Polytopes*, 1996,
+    ch. 8; Villarreal, "Rees algebras of edge ideals", 1995).  Orienting them
+    for `order`, keeping the minimal leading monomials and reducing the tails
+    then gives the same basis as `buchberger`.
+    """
+    gens = list(gens)
+    q = _ring_size(gens, nvars)
+    key = order.key
+    oriented = [(g.plus, g.minus) if key(g.plus) > key(g.minus) else (g.minus, g.plus)
+                for g in gens]
+    return _reduce(order, q, [a for a, _ in oriented], [b for _, b in oriented])
+
+
 def buchberger(order: MonomialOrder, gens, nvars: int | None = None) -> ReducedGB:
     """Unique reduced Groebner basis of the ideal generated by `gens`.
 
@@ -139,16 +199,7 @@ def buchberger(order: MonomialOrder, gens, nvars: int | None = None) -> ReducedG
     reduced basis and hence independent of the generator order entirely.
     """
     gens = list(gens)
-    if gens:
-        q = len(gens[0].plus)
-        if any(len(g.plus) != q for g in gens):
-            raise ValueError("generators live in different rings")
-        if nvars is not None and nvars != q:
-            raise ValueError(f"nvars={nvars} but generators have {q} variables")
-    elif nvars is None:
-        raise ValueError("nvars is required when there are no generators")
-    else:
-        q = nvars
+    q = _ring_size(gens, nvars)
     key = order.key
 
     lms: list[Monomial] = []
@@ -220,22 +271,7 @@ def buchberger(order: MonomialOrder, gens, nvars: int | None = None) -> ReducedG
         assert sum(u) == sum(v), "homogeneity lost in S-pair reduction"
         add(*orient(u, v))
 
-    # minimalize: drop elements whose leading monomial another one divides
-    order_idx = sorted(range(len(lms)), key=lambda i: key(lms[i]))
-    kept_idx: list[int] = []
-    for i in order_idx:
-        if not any(_divides(lms[j], lms[i]) for j in kept_idx):
-            kept_idx.append(i)
-    min_lms = [lms[i] for i in kept_idx]
-    min_masks = [masks[i] for i in kept_idx]
-    # interreduce tails against the minimal basis (tails cannot be divisible
-    # by their own leading monomial: equal degree would force equality)
-    elements = []
-    for i in kept_idx:
-        tail = _nf_monomial(tails[i], min_lms, [tails[j] for j in kept_idx], min_masks)
-        elements.append(Binomial(lms[i], tail))
-    elements.sort(key=lambda b: key(b.plus))
-    return ReducedGB(order, q, tuple(elements))
+    return _reduce(order, q, lms, tails)
 
 
 def initial_ideal(gb: ReducedGB) -> MonomialIdeal:

@@ -93,9 +93,13 @@ class TestEnumeration:
             list(enumerate_connected_bipartite(1))
 
     def test_guard_boundary_n10_count(self):
-        # slowest test here (~15s); n=10 is the documented guard boundary and
-        # its class count is independently known
-        assert sum(1 for _ in enumerate_connected_bipartite(10)) == 4032
+        # slowest test here; n=10 is the documented guard boundary, its class
+        # count is independently known, and its pair set has 51 pairs
+        report = verify(10, use_cache=False)
+        assert report.class_count == 4032
+        assert set(report.computed) == theoretical_pairs(10)
+        assert len(report.computed) == 51
+        assert report.equal and report.counterexamples == ()
 
     def test_doubly_sorted_representative_exists(self):
         # validates the column-sorted filter used by the enumerator: iterating
@@ -239,22 +243,25 @@ class TestCache:
     def test_sweep_reuses_cache(self, tmp_path):
         import toricgraph.atlas as atlas_mod
 
-        atlas_mod._sweep_memo.pop(4, None)
         first = atlas_mod.sweep(4, directory=str(tmp_path))
-        atlas_mod._sweep_memo.pop(4, None)
         second = atlas_mod.sweep(4, directory=str(tmp_path))
         assert [r for _, r in first] == [r for _, r in second]
-        atlas_mod._sweep_memo.pop(4, None)
+
+    def test_sweep_into_another_directory_writes_there(self, tmp_path):
+        import toricgraph.atlas as atlas_mod
+
+        first, second = tmp_path / "first", tmp_path / "second"
+        atlas_mod.sweep(4, directory=str(first))
+        rows = atlas_mod.sweep(4, directory=str(second))
+        assert (second / "atlas-n4.jsonl").exists()
+        assert set(cache_load(4, str(second))) == {rec.code for _, rec in rows}
 
     def test_parallel_sweep_matches_serial(self, tmp_path):
         import toricgraph.atlas as atlas_mod
 
-        atlas_mod._sweep_memo.pop(5, None)
         parallel = atlas_mod.sweep(5, jobs=2, use_cache=False)
-        atlas_mod._sweep_memo.pop(5, None)
         serial = atlas_mod.sweep(5, use_cache=False)
         strip = lambda rows: [
             (r.code, r.invariants, r.matching, r.h_poly, r.h_poly_lex) for _, r in rows
         ]
         assert strip(parallel) == strip(serial)
-        atlas_mod._sweep_memo.pop(5, None)

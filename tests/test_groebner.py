@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricgraph.atlas import enumerate_connected_bipartite
 from toricgraph.graphs import complete_bipartite, cycle_graph
 from toricgraph.groebner import (
     DEGLEX,
@@ -17,6 +18,7 @@ from toricgraph.groebner import (
     compare,
     initial_ideal,
     normal_form,
+    reduce_universal,
 )
 from toricgraph.toric import Binomial, toric_generators
 
@@ -170,6 +172,17 @@ class TestBuchberger:
         for b in gb.elements:
             assert sum(b.plus) == sum(b.minus)
         assert_reduced_groebner_basis(DEGREVLEX, gb, gens)
+
+
+class TestReduceUniversal:
+    @pytest.mark.parametrize("order", [DEGREVLEX, DEGLEX, LEX], ids=lambda o: o.kind)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_buchberger_on_every_class(self, n, order):
+        # the even-cycle binomials are a universal Groebner basis, so no
+        # S-pair may change the reduced basis
+        for g in enumerate_connected_bipartite(n):
+            cycles = toric_generators(g).generators
+            assert reduce_universal(order, cycles, g.q) == buchberger(order, cycles, nvars=g.q), g.edges
 
 
 class TestInitialIdeal:
