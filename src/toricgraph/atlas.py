@@ -19,6 +19,7 @@ import json
 import os
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from multiprocessing import Pool
@@ -38,6 +39,7 @@ from .hilbert import (
     InvariantTuple,
     edge_ring_hilbert,
     invariant_tuple,
+    poly_mul,
 )
 
 ENUMERATION_GUARD = 10
@@ -248,20 +250,17 @@ def sweep(
     cached = cache_load(n, directory) if use_cache else {}
     graphs = list(_enumerate_with_codes(n, force))
     out: list[tuple[Graph, AtlasRecord]] = []
-    missing: list[tuple[bytes, Graph]] = []
+    missing: list[Graph] = []
     for code, g in graphs:
         rec = cached.get(code.hex())
         if rec is None:
-            missing.append((code, g))
+            missing.append(g)
         else:
             out.append((g, rec))
-    if missing:
-        if jobs > 1:
-            with Pool(jobs) as pool:
-                recs = pool.map(_analyze_edges, [(g.n, g.edges) for _, g in missing])
-        else:
-            recs = [analyze_graph(g) for _, g in missing]
-        for (_, g), rec in zip(missing, recs):
+    with Pool(jobs) if jobs > 1 and missing else nullcontext() as pool:
+        recs = (pool.imap(_analyze_edges, [(g.n, g.edges) for g in missing])
+                if pool else map(analyze_graph, missing))
+        for g, rec in zip(missing, recs):
             out.append((g, rec))
             if use_cache:
                 cache_store(rec, directory)
@@ -332,11 +331,10 @@ def verify(
         if with_betti_oracle and g.q <= 8:
             table = betti_table(g, t.reg, t.pdim)
             note("betti_oracle_agrees", invariants_from_betti(table) == (t.reg, t.pdim), g)
-            note(
-                "betti_euler_matches_numerator",
-                euler_numerator(table) == edge_ring_hilbert(g).numerator,
-                g,
-            )
+            numerator = rec.h_poly
+            for _ in range(g.q - t.dim):
+                numerator = poly_mul(numerator, (1, -1))
+            note("betti_euler_matches_numerator", euler_numerator(table) == numerator, g)
     if computed != theoretical:
         failures.append(
             f"pair sets differ: missing={sorted(theoretical - computed)} "

@@ -11,7 +11,6 @@ exact integer arithmetic (fraction-free elimination), never floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -51,8 +50,8 @@ def standard_monomials(gb: ReducedGB, d: int) -> tuple[Monomial, ...]:
 
 
 class _KoszulContext:
-    """Per-graph tables shared by all Betti cells: normal forms, standard
-    monomial bases, multidegrees, and differential ranks."""
+    """Per-graph tables shared by the cells of one `betti_table` call: normal
+    forms, standard monomial bases, multidegrees, and differential ranks."""
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -136,6 +135,12 @@ class _KoszulContext:
         self._ranks[key] = total
         return total
 
+    def homology_dim(self, i: int, j: int) -> int:
+        """beta_{i,j}: cell dimension minus the ranks in and out of it."""
+        q = self.graph.q
+        dim = 0 if i > q or j - i < 0 else comb(q, i) * len(self.std(j - i))
+        return dim - self.rank(i, j) - self.rank(i + 1, j)
+
 
 def _int_rank(mat: list[list[int]]) -> int:
     """Fraction-free (Bareiss) elimination rank over the integers."""
@@ -164,19 +169,18 @@ def _int_rank(mat: list[list[int]]) -> int:
     return r
 
 
-@lru_cache(maxsize=None)
-def _context(g: Graph) -> _KoszulContext:
-    return _KoszulContext(g)
-
-
-def _guard(q: int, i: int, d: int) -> None:
-    if i < 0 or i > q or d < 0:
-        return
-    bound = comb(q, i) * comb(q + d - 1, d) if d else comb(q, i)
-    if bound > _SIZE_GUARD:
-        raise SizeGuardExceededError(
-            f"Koszul cell needs ~{bound} basis elements (> {_SIZE_GUARD})"
-        )
+def _guard(q: int, i: int, j: int) -> None:
+    """Refuse cell (i, j) before building anything if either Koszul layer
+    its homology reads, (i, j) or (i+1, j), is too large."""
+    for k in (i, i + 1):
+        d = j - k
+        if k > q or d < 0:
+            continue
+        bound = comb(q, k) * comb(q + d - 1, d) if d else comb(q, k)
+        if bound > _SIZE_GUARD:
+            raise SizeGuardExceededError(
+                f"Koszul cell needs ~{bound} basis elements (> {_SIZE_GUARD})"
+            )
 
 
 def koszul_homology_dim(g: Graph, i: int, j: int) -> int:
@@ -184,15 +188,8 @@ def koszul_homology_dim(g: Graph, i: int, j: int) -> int:
     step i of the Koszul complex tensored with the quotient."""
     if i < 0 or j < 0:
         raise ValueError(f"need i, j >= 0, got ({i}, {j})")
-    q = g.q
-    _guard(q, i, j - i)
-    _guard(q, i + 1, j - i - 1)
-    ctx = _context(g)
-    if i > q or j - i < 0:
-        dim = 0
-    else:
-        dim = comb(q, i) * len(ctx.std(j - i))
-    return dim - ctx.rank(i, j) - ctx.rank(i + 1, j)
+    _guard(g.q, i, j)
+    return _KoszulContext(g).homology_dim(i, j)
 
 
 def betti_table(g: Graph, reg: int, pdim: int) -> BettiTable:
@@ -200,9 +197,11 @@ def betti_table(g: Graph, reg: int, pdim: int) -> BettiTable:
     guard column, which are verified to vanish (valid for Cohen-Macaulay
     quotients, where beta_{i,j} = 0 whenever j > i + reg)."""
     entries: dict[tuple[int, int], int] = {}
+    ctx = _KoszulContext(g)
     for i in range(pdim + 2):
         for d in range(reg + 2):
-            b = koszul_homology_dim(g, i, i + d)
+            _guard(g.q, i, i + d)
+            b = ctx.homology_dim(i, i + d)
             if b:
                 if i > pdim or d > reg:
                     raise AssertionError(

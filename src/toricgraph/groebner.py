@@ -13,10 +13,9 @@ first, pruning S-pairs with the coprime and Gebauer-Moeller chain criteria.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
-from .toric import Binomial, Monomial, monomial_str
+from .toric import Binomial, Monomial
 
 LT, EQ, GT = -1, 0, 1
 
@@ -284,16 +283,3 @@ def initial_ideal(gb: ReducedGB) -> MonomialIdeal:
                 raise ValueError("leading monomials of a reduced basis must be an antichain")
     return MonomialIdeal(gb.nvars, tuple(gens))
 
-
-def gb_to_json(gb: ReducedGB) -> str:
-    return json.dumps(
-        {
-            "order": gb.order.kind,
-            "nvars": gb.nvars,
-            "elements": [
-                {"plus": list(b.plus), "minus": list(b.minus),
-                 "text": f"{monomial_str(b.plus)} - {monomial_str(b.minus)}"}
-                for b in gb.elements
-            ],
-        }
-    )

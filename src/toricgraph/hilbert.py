@@ -22,6 +22,7 @@ from .groebner import (
     MonomialIdeal,
     MonomialOrder,
     ReducedGB,
+    _mask,
     buchberger,
     initial_ideal,
     reduce_universal,
@@ -76,14 +77,6 @@ def _poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
                            for i in range(n)))
 
 
-def _support_mask(m: Monomial) -> int:
-    b = 0
-    for i, e in enumerate(m):
-        if e:
-            b |= 1 << i
-    return b
-
-
 def _minimalize(gens) -> tuple[Monomial, ...]:
     kept: list[Monomial] = []
     for m in sorted(set(gens), key=lambda g: (sum(g), g)):
@@ -99,7 +92,7 @@ def _numerator(gens: tuple[Monomial, ...], memo: dict[tuple, IntPoly]) -> IntPol
     seen = 0
     disjoint = True
     for m in gens:
-        mask = _support_mask(m)
+        mask = _mask(m)
         if mask & seen:
             disjoint = False
             break
@@ -221,7 +214,6 @@ def _in_kernel(g: Graph, gb: ReducedGB) -> ReducedGB:
     return gb
 
 
-@lru_cache(maxsize=None)
 def edge_ring_gb(g: Graph, order: MonomialOrder = DEGREVLEX) -> ReducedGB:
     """Reduced Groebner basis of the toric ideal of g by Buchberger's
     algorithm, the oracle for `edge_ring_hilbert`; every element is checked
@@ -229,6 +221,7 @@ def edge_ring_gb(g: Graph, order: MonomialOrder = DEGREVLEX) -> ReducedGB:
     return _in_kernel(g, buchberger(order, toric_generators(g).generators, nvars=g.q))
 
 
+# cached: analyze_graph reads the degrevlex data invariant_tuple just computed
 @lru_cache(maxsize=None)
 def edge_ring_hilbert(g: Graph, order: MonomialOrder = DEGREVLEX) -> HilbertData:
     """Hilbert data of the initial ideal of the toric ideal of g, read off
@@ -241,7 +234,6 @@ def edge_ring_hilbert(g: Graph, order: MonomialOrder = DEGREVLEX) -> HilbertData
     return HilbertData(numerator, dim, h_polynomial(numerator, g.q, dim))
 
 
-@lru_cache(maxsize=None)
 def invariant_tuple(g: Graph) -> InvariantTuple:
     """(reg, deg h, pdim, depth, dim) of the edge ring of a connected
     bipartite graph, via the Groebner/Hilbert route."""

@@ -194,6 +194,26 @@ class TestVerify:
         assert report.counterexamples == ()
         assert report.property_passes["betti_oracle_agrees"] > 0
 
+    def test_betti_check_reads_the_stored_record(self, tmp_path):
+        import toricgraph.atlas as atlas_mod
+
+        rows = atlas_mod.sweep(6, directory=str(tmp_path))
+        c6 = canonical_form(cycle_graph(6)).hex()
+        (g,) = [g for g, rec in rows if rec.code == c6]
+        path = tmp_path / "atlas-n6.jsonl"
+        lines = []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            d = json.loads(line)
+            if d["code"] == c6:
+                assert d["h"] == d["h_lex"] == [1, 1, 1]
+                d["h"] = d["h_lex"] = [1, 2, 1]
+            lines.append(json.dumps(d))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report = verify(6, with_betti_oracle=True, directory=str(tmp_path))
+        assert report.counterexamples == (
+            f"betti_euler_matches_numerator: n=6 edges={g.edges}",
+        )
+
     def test_report_json_schema(self):
         d = report_to_json_dict(verify(4, use_cache=False))
         assert set(d) == {
@@ -265,3 +285,37 @@ class TestCache:
             (r.code, r.invariants, r.matching, r.h_poly, r.h_poly_lex) for _, r in rows
         ]
         assert strip(parallel) == strip(serial)
+
+    def test_interrupted_sweep_resumes(self, tmp_path, monkeypatch):
+        import toricgraph.atlas as atlas_mod
+
+        real = atlas_mod.analyze_graph
+        analyzed = []
+
+        def failing(g):
+            if len(analyzed) == 5:
+                raise RuntimeError("interrupted")
+            analyzed.append(g)
+            return real(g)
+
+        monkeypatch.setattr(atlas_mod, "analyze_graph", failing)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            atlas_mod.sweep(6, directory=str(tmp_path))
+        assert len(cache_load(6, str(tmp_path))) == 5
+
+        def counting(g):
+            analyzed.append(g)
+            return real(g)
+
+        monkeypatch.setattr(atlas_mod, "analyze_graph", counting)
+        resumed = atlas_mod.sweep(6, directory=str(tmp_path))
+        assert len(analyzed) == KNOWN_CLASS_COUNTS[6]
+        assert len({canonical_form(g) for g in analyzed}) == KNOWN_CLASS_COUNTS[6]
+        monkeypatch.undo()
+        fresh = atlas_mod.sweep(6, use_cache=False)
+        strip = lambda rows: [
+            (g.edges, r.code, r.invariants, r.matching, r.h_poly, r.h_poly_lex)
+            for g, r in rows
+        ]
+        assert strip(resumed) == strip(fresh)
+        assert len(cache_load(6, str(tmp_path))) == KNOWN_CLASS_COUNTS[6]

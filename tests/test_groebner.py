@@ -212,18 +212,3 @@ class TestOrderIndependence:
 
         for g in (cycle_graph(6), complete_bipartite(3, 3), complete_bipartite(2, 4)):
             assert edge_ring_hilbert(g, DEGREVLEX).h_poly == edge_ring_hilbert(g, LEX).h_poly
-
-
-class TestJsonDump:
-    def test_gb_to_json(self):
-        import json
-
-        from toricgraph.groebner import gb_to_json
-
-        gb = buchberger(DEGREVLEX, toric_generators(cycle_graph(6)).generators)
-        data = json.loads(gb_to_json(gb))
-        assert data["order"] == "degrevlex" and data["nvars"] == 6
-        assert data["elements"] == [
-            {"plus": [1, 0, 1, 0, 1, 0], "minus": [0, 1, 0, 1, 0, 1],
-             "text": "e1*e3*e5 - e2*e4*e6"}
-        ]
