@@ -1,12 +1,19 @@
 """Exhaustive atlas over connected bipartite graphs on n vertices.
 
-Enumeration is per bipartition split (a, b): biadjacency row multisets are
-generated in sorted order, candidates with unsorted columns are discarded
-(every isomorphism class keeps a doubly sorted representative: iterating
-row-sort and column-sort strictly increases sum M[i][j]*2^i*2^j, so it
-terminates at a matrix sorted both ways), and survivors are deduplicated by
-canonical form.  A connected bipartite graph has a unique bipartition up to
-swapping the parts, so no class appears under two splits.
+Enumeration is per bipartition split (a, b) and keeps only doubly sorted
+biadjacency matrices: nonzero rows r_0 <= ... <= r_{a-1}, columns
+nondecreasing (row a-1 is the most significant bit of a column) and none
+zero.  Every isomorphism class has such a representative: iterating row-sort
+and column-sort strictly increases sum M[i][j]*2^i*2^j, so it terminates at a
+matrix sorted both ways.  The matrices are built by orderly generation (Read
+1978; McKay 1998), rows from r_{a-1} down to r_0, each at most the one
+before.  The columns still tied on the rows chosen so far form runs; inside
+every run the next row must read 0..01..1, and the run then splits into its
+0-part and its 1-part, so no candidate with unsorted columns is ever built.
+Each split's matrices are sorted lexicographically by row tuple, deduplicated
+by canonical form, and yielded in that order.  A connected bipartite graph
+has a unique bipartition up to swapping the parts, so no class appears under
+two splits.
 
 The sweep attaches the full invariant pipeline to every class and checks the
 realized (regularity, pdim) pairs against the closed-form target set
@@ -21,7 +28,7 @@ import time
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import product
 from multiprocessing import Pool
 
 from .betti import betti_table, euler_numerator, invariants_from_betti
@@ -82,23 +89,53 @@ def _check_guard(n: int, force: bool) -> None:
         )
 
 
+def _extend_rows(out: list[int], left: int, b: int, runs: tuple[tuple[int, int], ...],
+                 bound: int, packed: int, shift: int, acc: int) -> None:
+    # Choose row r_{left-1} <= bound, stored at bit `shift` of `packed`; `acc`
+    # is the union of the rows chosen so far.  The columns of a run [lo, hi)
+    # are tied on every row chosen so far, so there the new row must read
+    # 0..01..1 (bit j is column j) to keep the columns sorted; the run then
+    # splits into its 0-part and its 1-part.
+    if not left:
+        if acc == (1 << b) - 1:
+            out.append(packed)
+        return
+    for cuts in product(*(range(lo, hi + 1) for lo, hi in runs)):
+        row = 0
+        for (lo, hi), cut in zip(runs, cuts):
+            row |= (1 << hi) - (1 << cut)
+        if not 0 < row <= bound:
+            continue
+        split = tuple(
+            part
+            for (lo, hi), cut in zip(runs, cuts)
+            for part in ((lo, cut), (cut, hi))
+            if part[0] < part[1]
+        )
+        _extend_rows(out, left - 1, b, split, row, packed | row << shift, shift + b, acc | row)
+
+
+def _doubly_sorted(a: int, b: int) -> list[int]:
+    """Every a x b biadjacency matrix with nonzero rows r_0 <= ... <= r_{a-1},
+    nondecreasing columns and no zero column, packed with r_0 most
+    significant and sorted, which is lexicographic order on row tuples."""
+    out: list[int] = []
+    _extend_rows(out, a, b, ((0, b),), (1 << b) - 1, 0, 0, 0)
+    out.sort()
+    return out
+
+
 def _enumerate_with_codes(n: int, force: bool = False):
     _check_guard(n, force)
     seen: set[bytes] = set()
     for a in range(1, n // 2 + 1):
         b = n - a
-        full = (1 << b) - 1
-        for rows in combinations_with_replacement(range(1, 1 << b), a):
-            acc = 0
-            for r in rows:
-                acc |= r
-            if acc != full:
-                continue
-            cols = [sum(((rows[i] >> j) & 1) << i for i in range(a)) for j in range(b)]
-            if any(cols[j] > cols[j + 1] for j in range(b - 1)):
-                continue
+        for packed in _doubly_sorted(a, b):
             edges = tuple(
-                (i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1
+                (i, a + j)
+                for i in range(a)
+                for j in range(b)
+                if (packed >> ((a - 1 - i) * b + j)) & 1
             )
             g = Graph(n, edges)
             if not is_connected(g):

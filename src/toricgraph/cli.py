@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import atlas
@@ -276,6 +277,13 @@ def main(argv=None) -> int:
         return 2
     except SizeGuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (`toricgraph enumerate ... | head`); point
+        # the descriptor at devnull so that the flush at exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

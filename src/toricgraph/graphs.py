@@ -465,14 +465,20 @@ def _class_arrangements(members: list[int], adj_sets) -> list[tuple[int, ...]]:
     return out
 
 
-def _class_orders(colors: list[int], adj_sets):
+def _color_classes(colors: list[int]) -> list[list[int]]:
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         classes.setdefault(c, []).append(v)
+    return [classes[c] for c in sorted(classes)]
+
+
+def _class_orders(classes: list[list[int]], adj_sets):
+    """Every concatenation of one arrangement per class, classes in the given
+    order; raises before the first one if there would be more than
+    _PERM_GUARD of them."""
     per_class = []
     total = 1
-    for c in sorted(classes):
-        members = classes[c]
+    for members in classes:
         twins: dict[frozenset, int] = {}
         for v in members:
             twins[adj_sets[v]] = twins.get(adj_sets[v], 0) + 1
@@ -495,54 +501,63 @@ def _class_orders(colors: list[int], adj_sets):
         yield order
 
 
-def _pack(kind: int, n: int, a: int, bits: list[int]) -> bytes:
-    num = 0
-    for bit in bits:
-        num = (num << 1) | bit
-    return bytes([kind, n, a]) + num.to_bytes((len(bits) + 7) // 8 or 1, "big")
+def _pack(kind: int, n: int, a: int, num: int, nbits: int) -> bytes:
+    return bytes([kind, n, a]) + num.to_bytes((nbits + 7) // 8 or 1, "big")
 
 
 def _bipartite_code(g: Graph, rows: tuple[int, ...], cols: tuple[int, ...]) -> bytes:
+    # The code is the row-major biadjacency bit string.  For a fixed column
+    # order it is smallest when each refinement class of rows is sorted by
+    # its bit pattern, so only the column orders are scanned.
     adj = [frozenset(g.neighbors[v]) for v in range(g.n)]
     row_set = set(rows)
-    colors = [0 if v in row_set else 1 for v in range(g.n)]
-    colors = _wl_colors(g.neighbors, colors)
-    best = None
-    for order in _class_orders(colors, adj):
-        row_order = [v for v in order if v in row_set]
-        col_order = [v for v in order if v not in row_set]
-        bits = [1 if w in adj[u] else 0 for u in row_order for w in col_order]
-        code = _pack(1, g.n, len(rows), bits)
-        if best is None or code < best:
-            best = code
-    return best
+    colors = _wl_colors(g.neighbors, [0 if v in row_set else 1 for v in range(g.n)])
+    classes = _color_classes(colors)
+    row_classes = [m for m in classes if m[0] in row_set]
+    col_classes = [m for m in classes if m[0] not in row_set]
+    b = len(cols)
+
+    def row_major(col_order: list[int]) -> int:
+        weight = {w: 1 << (b - 1 - k) for k, w in enumerate(col_order)}
+        num = 0
+        for members in row_classes:
+            for pattern in sorted(sum(weight[w] for w in adj[u]) for u in members):
+                num = (num << b) | pattern
+        return num
+
+    best = min(map(row_major, _class_orders(col_classes, adj)))
+    return _pack(1, g.n, len(rows), best, len(rows) * b)
 
 
 def _general_code(g: Graph) -> bytes:
     adj = [frozenset(g.neighbors[v]) for v in range(g.n)]
     colors = _wl_colors(g.neighbors, [0] * g.n)
-    best = None
-    for order in _class_orders(colors, adj):
-        bits = [
-            1 if order[j] in adj[order[i]] else 0
-            for i in range(g.n)
-            for j in range(i + 1, g.n)
-        ]
-        code = _pack(2, g.n, 0, bits)
-        if best is None or code < best:
-            best = code
-    return best
+
+    def upper_triangle(order: list[int]) -> int:
+        num = 0
+        for i in range(g.n):
+            for j in range(i + 1, g.n):
+                num = (num << 1) | (order[j] in adj[order[i]])
+        return num
+
+    best = min(map(upper_triangle, _class_orders(_color_classes(colors), adj)))
+    return _pack(2, g.n, 0, best, g.n * (g.n - 1) // 2)
 
 
 def canonical_form(g: Graph) -> bytes:
     """Canonical code: equal codes iff isomorphic.
 
     Connected bipartite graphs are minimized over part-respecting orderings of
-    the biadjacency matrix (both orientations when the parts have equal size);
-    anything else falls back to minimizing the full adjacency matrix.  Both
-    paths prune with iterated degree refinement, so the brute-force scan only
-    ranges over refinement classes; the cost cliff is for highly symmetric
-    graphs, fine at desk scale (n <= 10 or so).
+    the row-major biadjacency matrix (both orientations when the parts have
+    equal size); anything else falls back to minimizing the upper triangle of
+    the full adjacency matrix.  Both paths order vertices class by class after
+    iterated degree refinement, and vertices with equal neighborhoods count
+    once.  The bipartite path scans only the column arrangements: for a fixed
+    column order the smallest code sorts the rows of each class by their bit
+    pattern.  _PERM_GUARD bounds the orderings actually scanned (column
+    orders here, whole vertex orders on the fallback) and raises
+    SizeGuardExceededError beyond it; the cost cliff is for graphs with large
+    symmetric column classes, fine at desk scale (n <= 12 or so).
     """
     if g.n == 1:
         return bytes([2, 1, 0])

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import json
 
 import pytest
 
 from toricgraph.atlas import (
+    _doubly_sorted,
     analyze_graph,
     cache_load,
     cache_store,
@@ -29,6 +31,34 @@ from toricgraph.graphs import (
 from toricgraph.hilbert import invariant_tuple
 
 KNOWN_CLASS_COUNTS = {2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44}
+
+# sha256 over "<canonical code hex> <edges>\n" per class, in enumeration
+# order: the codes key the JSONL cache and the order is the CLI's output
+ENUMERATION_DIGESTS = {
+    8: "6b0ed7704fc6ffdb6c4d82667067d2d583fd6b767ddcf3a3e1615e9df921480c",
+    9: "8292105089124140084ab010820afc6cc345102e94feff38e01e3fdb51aa095e",
+}
+
+
+def filtered_rows(a, b):
+    """Reference generator: every sorted multiset of a nonzero b-bit rows,
+    kept when the rows cover all b columns and the columns are sorted."""
+    full = (1 << b) - 1
+    out = []
+    for rows in itertools.combinations_with_replacement(range(1, 1 << b), a):
+        acc = 0
+        for r in rows:
+            acc |= r
+        if acc != full:
+            continue
+        cols = [sum(((rows[i] >> j) & 1) << i for i in range(a)) for j in range(b)]
+        if all(cols[j] <= cols[j + 1] for j in range(b - 1)):
+            out.append(rows)
+    return out
+
+
+def unpack_rows(packed, a, b):
+    return tuple((packed >> ((a - 1 - i) * b)) & ((1 << b) - 1) for i in range(a))
 
 
 def brute_isomorphic(g, h):
@@ -101,9 +131,24 @@ class TestEnumeration:
         assert len(report.computed) == 51
         assert report.equal and report.counterexamples == ()
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_generation_matches_filter(self, n):
+        for a in range(1, n // 2 + 1):
+            b = n - a
+            got = [unpack_rows(p, a, b) for p in _doubly_sorted(a, b)]
+            assert got == filtered_rows(a, b), (a, b)
+
+    @pytest.mark.parametrize("n", sorted(ENUMERATION_DIGESTS))
+    def test_enumeration_order_is_pinned(self, n):
+        digest = hashlib.sha256()
+        for g in enumerate_connected_bipartite(n):
+            line = canonical_form(g).hex() + " " + " ".join(f"{u}-{v}" for u, v in g.edges)
+            digest.update((line + "\n").encode())
+        assert digest.hexdigest() == ENUMERATION_DIGESTS[n]
+
     def test_doubly_sorted_representative_exists(self):
-        # validates the column-sorted filter used by the enumerator: iterating
-        # row-sort and column-sort reaches a matrix sorted both ways
+        # validates the doubly sorted matrices the enumerator generates:
+        # iterating row-sort and column-sort reaches a matrix sorted both ways
         for a, b in ((2, 2), (2, 3), (3, 3)):
             for mask in range(1 << (a * b)):
                 rows = [

@@ -1,4 +1,8 @@
 import json
+import os
+import sys
+
+import pytest
 
 from toricgraph import cli
 from toricgraph.atlas import VerificationReport
@@ -110,6 +114,17 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--n", "12")
         assert code == 1
         assert "guard" in err
+
+    def test_closed_pipe_exits_1_silently(self, capsys, monkeypatch):
+        # `toricgraph enumerate ... | head -1`: the reader has gone away
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", buffering=1) as closed_pipe:
+            monkeypatch.setattr(sys, "stdout", closed_pipe)
+            with pytest.raises(BrokenPipeError):
+                closed_pipe.write("x\n")
+            assert cli.main(["enumerate", "--n", "4"]) == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestVerify:

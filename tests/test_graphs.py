@@ -1,14 +1,17 @@
 import itertools
+import random
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from toricgraph.atlas import _doubly_sorted
 from toricgraph.graphs import (
     Graph,
     GraphFormatError,
     NotBipartiteError,
+    _wl_colors,
     bipartition,
     canonical_form,
     complete_bipartite,
@@ -55,6 +58,48 @@ def brute_force_cycles(g):
                 ):
                     out.add(walk)
     return out
+
+
+def full_scan_code(g):
+    """Reference canonical form of a connected bipartite graph: the smallest
+    row-major biadjacency code over every permutation of every refinement
+    class, rows and columns alike, in both orientations for equal parts."""
+    parts = bipartition(g)
+    best = None
+    for rows in (parts.part_a, parts.part_b):
+        if 2 * len(rows) > g.n:
+            continue
+        row_set = set(rows)
+        colors = _wl_colors(g.neighbors, [0 if v in row_set else 1 for v in range(g.n)])
+        classes = [[v for v in range(g.n) if colors[v] == c] for c in sorted(set(colors))]
+        for perms in itertools.product(*map(itertools.permutations, classes)):
+            order = [v for perm in perms for v in perm]
+            bits = "".join(
+                "1" if w in g.neighbors[u] else "0"
+                for u in order if u in row_set
+                for w in order if w not in row_set
+            )
+            code = bytes([1, g.n, len(rows)]) + int(bits, 2).to_bytes((len(bits) + 7) // 8, "big")
+            if best is None or code < best:
+                best = code
+    return best
+
+
+def connected_candidates(n):
+    """The connected graphs the enumerator feeds to canonical_form."""
+    for a in range(1, n // 2 + 1):
+        b = n - a
+        for packed in _doubly_sorted(a, b):
+            g = Graph(n, tuple(
+                (i, a + j) for i in range(a) for j in range(b)
+                if (packed >> ((a - 1 - i) * b + j)) & 1
+            ))
+            if is_connected(g):
+                yield g
+
+
+def relabel(g, perm):
+    return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
 
 
 def brute_force_matching(g):
@@ -387,12 +432,36 @@ class TestCanonicalForm:
         assert canonical_form(d1) != canonical_form(path_graph(4))
 
     @settings(max_examples=40, deadline=None)
-    @given(bipartite_graphs(max_a=3, max_b=3), st.randoms())
+    @given(bipartite_graphs(max_a=5, max_b=5), st.randoms())
     def test_relabeling_invariance(self, g, rng):
+        # a large disconnected graph takes the fallback scan over whole vertex
+        # orders, which can exceed _PERM_GUARD (five disjoint edges: 10!)
+        assume(g.n <= 6 or is_connected(g))
         perm = list(range(g.n))
         rng.shuffle(perm)
-        relabeled = Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
-        assert canonical_form(relabeled) == canonical_form(g)
+        assert canonical_form(relabel(g, perm)) == canonical_form(g)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_full_scan(self, n):
+        # the column-only scan against every row and column arrangement, on
+        # the candidates as generated and on a relabeled copy of each
+        rng = random.Random(n)
+        for g in connected_candidates(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            expected = full_scan_code(g)
+            assert canonical_form(g) == expected
+            assert canonical_form(relabel(g, perm)) == expected
+
+    def test_c12_within_guard_and_invariant(self):
+        # 6! column orders; the full scan over rows too would be 6!^2 > _PERM_GUARD
+        g = cycle_graph(12)
+        code = canonical_form(g)
+        for seed in range(4):
+            perm = list(range(12))
+            random.Random(seed).shuffle(perm)
+            assert canonical_form(relabel(g, perm)) == code
+        assert code != canonical_form(path_graph(12))
 
     def test_large_twin_classes_stay_cheap(self):
         # 9 leaves of star(10) share one neighborhood: one arrangement, not 9!
