@@ -175,9 +175,10 @@ def cardinality_formula(n: int) -> int:
     return 1 - val // 6
 
 
-def analyze_graph(g: Graph) -> AtlasRecord:
-    """Full pipeline for one graph: invariants, matching number, and the
-    h-polynomial under both monomial orders."""
+def analyze_graph(g: Graph, code: bytes) -> AtlasRecord:
+    """Full pipeline for one graph whose canonical form is `code`:
+    invariants, matching number, and the h-polynomial under both monomial
+    orders."""
     start = time.perf_counter()
     inv = invariant_tuple(g)
     h = edge_ring_hilbert(g, DEGREVLEX).h_poly
@@ -185,7 +186,7 @@ def analyze_graph(g: Graph) -> AtlasRecord:
     mat = matching_number(g)
     elapsed = time.perf_counter() - start
     return AtlasRecord(
-        code=canonical_form(g).hex(),
+        code=code.hex(),
         n=g.n,
         q=g.q,
         invariants=inv,
@@ -196,9 +197,9 @@ def analyze_graph(g: Graph) -> AtlasRecord:
     )
 
 
-def _analyze_edges(args: tuple[int, tuple]) -> AtlasRecord:
-    n, edges = args
-    return analyze_graph(Graph(n, edges))
+def _analyze_edges(args: tuple[int, tuple, bytes]) -> AtlasRecord:
+    n, edges, code = args
+    return analyze_graph(Graph(n, edges), code)
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +288,17 @@ def sweep(
     cached = cache_load(n, directory) if use_cache else {}
     graphs = list(_enumerate_with_codes(n, force))
     out: list[tuple[Graph, AtlasRecord]] = []
-    missing: list[Graph] = []
+    missing: list[tuple[bytes, Graph]] = []
     for code, g in graphs:
         rec = cached.get(code.hex())
         if rec is None:
-            missing.append(g)
+            missing.append((code, g))
         else:
             out.append((g, rec))
     with Pool(jobs) if jobs > 1 and missing else nullcontext() as pool:
-        recs = (pool.imap(_analyze_edges, [(g.n, g.edges) for g in missing])
-                if pool else map(analyze_graph, missing))
-        for g, rec in zip(missing, recs):
+        recs = (pool.imap(_analyze_edges, [(g.n, g.edges, code) for code, g in missing])
+                if pool else (analyze_graph(g, code) for code, g in missing))
+        for (_, g), rec in zip(missing, recs):
             out.append((g, rec))
             if use_cache:
                 cache_store(rec, directory)

@@ -22,19 +22,16 @@ LT, EQ, GT = -1, 0, 1
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total multiplicative order on monomials; e_1 is the highest variable
-    unless a priority permutation (highest first) is supplied."""
+    """Total multiplicative order on monomials, of one of the kinds
+    degrevlex, deglex or lex; e_1 is the highest variable."""
 
     kind: str
-    priority: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("degrevlex", "deglex", "lex"):
             raise ValueError(f"unknown order kind {self.kind!r}")
 
     def key(self, m: Monomial):
-        if self.priority is not None:
-            m = tuple(m[i] for i in self.priority)
         if self.kind == "lex":
             return m
         if self.kind == "deglex":

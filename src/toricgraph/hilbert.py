@@ -2,10 +2,13 @@
 
 The initial ideal comes from the reduced basis that the even-cycle binomials
 give directly (`reduce_universal`); Buchberger's algorithm is kept as the
-oracle `edge_ring_gb`.  The Hilbert numerator N(t) with HS = N(t)/(1-t)^q is
-computed by the pivot-variable recursion N(I) = N(I + <x>) + t*N(I : x),
-memoized on the canonicalized generator set within one call.  Krull
-dimension comes from the smallest transversal of the generator supports.
+oracle `edge_ring_gb`.  Monomials are carried as int bitmasks.  The Hilbert
+numerator N(t) with HS = N(t)/(1-t)^q is computed on the polarization of the
+ideal, a squarefree ideal with the same graded Betti numbers and so the same
+numerator (x_i^k becomes k bits; the initial ideal of a bipartite graph is
+squarefree already), by the pivot-variable recursion
+N(I) = N(I + <x>) + t*N(I : x).  Krull dimension comes from the smallest
+transversal of the generator supports.
 For a connected bipartite graph the edge ring is Cohen-Macaulay, which turns
 the h-polynomial degree and the Krull dimension into the full invariant
 tuple (reg, deg h, pdim, depth, dim).
@@ -77,54 +80,45 @@ def _poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
                            for i in range(n)))
 
 
-def _minimalize(gens) -> tuple[Monomial, ...]:
-    kept: list[Monomial] = []
-    for m in sorted(set(gens), key=lambda g: (sum(g), g)):
-        if not any(all(x <= y for x, y in zip(k, m)) for k in kept):
+def _minimal(masks) -> list[int]:
+    """The inclusion-minimal sets among masks, duplicates dropped."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if all(k & m != k for k in kept):
             kept.append(m)
-    return tuple(kept)
+    return kept
 
 
-def _numerator(gens: tuple[Monomial, ...], memo: dict[tuple, IntPoly]) -> IntPoly:
-    if not gens:
-        return (1,)
-    # complete-intersection base case: pairwise disjoint supports
-    seen = 0
-    disjoint = True
+def _polarize(gens: tuple[Monomial, ...]) -> list[int]:
+    # variable i gets max(1, largest exponent of x_i) consecutive bits and
+    # x_i^k sets the first k of them, so a squarefree ideal keeps its _mask
+    offsets = []
+    width = 0
+    for column in zip(*gens):
+        offsets.append(width)
+        width += max(1, *column)
+    return [sum(((1 << e) - 1) << off for e, off in zip(m, offsets)) for m in gens]
+
+
+def _numerator(gens: list[int]) -> IntPoly:
+    union = overlap = 0
     for m in gens:
-        mask = _mask(m)
-        if mask & seen:
-            disjoint = False
-            break
-        seen |= mask
-    if disjoint:
+        overlap |= m & union
+        union |= m
+    if not overlap:
+        # complete intersection: pairwise disjoint supports
         out: IntPoly = (1,)
         for m in gens:
-            deg = sum(m)
-            if deg == 0:
+            if not m:
                 return ()  # unit ideal, zero quotient
-            out = poly_mul(out, (1,) + (0,) * (deg - 1) + (-1,))
+            out = poly_mul(out, (1,) + (0,) * (m.bit_count() - 1) + (-1,))
         return out
-    cached = memo.get(gens)
-    if cached is not None:
-        return cached
-    q = len(gens[0])
-    freq = [0] * q
-    for m in gens:
-        for i, e in enumerate(m):
-            if e:
-                freq[i] += 1
-    pivot = max(range(q), key=lambda i: freq[i])
-    assert freq[pivot] >= 2
-    unit = tuple(1 if i == pivot else 0 for i in range(q))
-    left = tuple(sorted([m for m in gens if m[pivot] == 0] + [unit]))
-    colon = _minimalize(
-        tuple(m[:pivot] + (m[pivot] - 1,) + m[pivot + 1:] if m[pivot] else m for m in gens)
-    )
-    right = _numerator(colon, memo)
-    result = _poly_add(_numerator(left, memo), (0,) + right)
-    memo[gens] = result
-    return result
+    # the most frequent bit lies in two supports, so it is a bit of overlap
+    pivot = max((1 << i for i in range(overlap.bit_length())),
+                key=lambda x: sum(1 for m in gens if m & x))
+    left = [m for m in gens if not m & pivot] + [pivot]
+    colon = _minimal([m & ~pivot for m in gens])
+    return _poly_add(_numerator(left), (0,) + _numerator(colon))
 
 
 def hilbert_numerator(ideal: MonomialIdeal, q: int) -> IntPoly:
@@ -134,37 +128,38 @@ def hilbert_numerator(ideal: MonomialIdeal, q: int) -> IntPoly:
         raise ValueError(f"ideal lives in {ideal.nvars} variables, not {q}")
     if any(sum(m) == 0 for m in ideal.gens):
         raise ValueError("unit generator: the quotient is the zero ring")
-    return _numerator(tuple(sorted(ideal.gens)), {})
+    return _numerator(_polarize(ideal.gens))
 
 
-def _min_transversal(supports: list[frozenset[int]]) -> int:
-    # drop dominated supports (supersets of another support)
-    minimal: list[frozenset[int]] = []
-    for s in sorted(supports, key=len):
-        if not any(t <= s for t in minimal):
-            minimal.append(s)
+def _min_transversal(supports: list[int]) -> int:
+    minimal = _minimal(supports)  # a support meeting a subset meets its superset
 
-    def lower_bound(rest: list[frozenset[int]]) -> int:
-        used: set[int] = set()
+    def lower_bound(rest: list[int]) -> int:
+        used = 0
         count = 0
         for s in rest:
-            if not (s & used):
+            if not s & used:
                 count += 1
                 used |= s
         return count
 
-    best = len({v for s in minimal for v in s})
+    union = 0
+    for s in minimal:
+        union |= s
+    best = union.bit_count()
 
-    def solve(rest: list[frozenset[int]], depth: int) -> None:
+    def solve(rest: list[int], depth: int) -> None:
         nonlocal best
         if not rest:
             best = min(best, depth)
             return
         if depth + lower_bound(rest) >= best:
             return
-        s = min(rest, key=len)
-        for v in sorted(s):
-            solve([t for t in rest if v not in t], depth + 1)
+        s = min(rest, key=int.bit_count)
+        while s:
+            v = s & -s
+            s ^= v
+            solve([t for t in rest if not t & v], depth + 1)
 
     solve(minimal, 0)
     return best
@@ -175,12 +170,9 @@ def krull_dimension(ideal: MonomialIdeal, q: int) -> int:
     support of every generator."""
     if ideal.nvars != q:
         raise ValueError(f"ideal lives in {ideal.nvars} variables, not {q}")
-    if not ideal.gens:
-        return q
     if any(sum(m) == 0 for m in ideal.gens):
         raise ValueError("unit generator: the quotient is the zero ring")
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in ideal.gens]
-    return q - _min_transversal(supports)
+    return q - _min_transversal([_mask(m) for m in ideal.gens])
 
 
 def _div_one_minus_t(p: IntPoly) -> IntPoly:

@@ -60,16 +60,13 @@ def binomial_str(b: Binomial | None) -> str:
     return f"{monomial_str(b.plus)} - {monomial_str(b.minus)}"
 
 
-def _degrevlex_key(m: Monomial):
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
 def cycle_binomial(g: Graph, c: Cycle) -> Binomial:
     """Alternating-product binomial of an even cycle.
 
-    The sign is normalized so that `plus` is the degrevlex-larger monomial
-    (e_1 > ... > e_q); rotations and reflections of the cycle therefore all
-    map to the same Binomial.
+    The two halves are disjoint squarefree monomials of one degree, so the
+    degrevlex-larger (e_1 > ... > e_q) is the one without the largest edge
+    index of the cycle; `plus` is that half.  Rotations and reflections of
+    the cycle therefore all map to the same Binomial.
     """
     if c.length % 2 != 0:
         raise NotBipartiteError(f"odd cycle of length {c.length}")
@@ -77,10 +74,9 @@ def cycle_binomial(g: Graph, c: Cycle) -> Binomial:
     even = [0] * g.q
     for pos, e in enumerate(c.edge_indices):
         (odd if pos % 2 == 0 else even)[e] += 1
-    a, b = tuple(odd), tuple(even)
-    if _degrevlex_key(a) >= _degrevlex_key(b):
-        return Binomial(a, b)
-    return Binomial(b, a)
+    if odd[max(c.edge_indices)]:
+        return Binomial(tuple(even), tuple(odd))
+    return Binomial(tuple(odd), tuple(even))
 
 
 def toric_generators(g: Graph) -> ToricPresentation:

@@ -270,20 +270,23 @@ class TestVerify:
 
 class TestCache:
     def test_roundtrip(self, tmp_path):
-        rec = analyze_graph(cycle_graph(6))
+        g = cycle_graph(6)
+        rec = analyze_graph(g, canonical_form(g))
         cache_store(rec, str(tmp_path))
         loaded = cache_load(6, str(tmp_path))
         assert loaded == {rec.code: rec}
 
     def test_duplicate_last_wins(self, tmp_path):
-        rec = analyze_graph(cycle_graph(6))
+        g = cycle_graph(6)
+        rec = analyze_graph(g, canonical_form(g))
         other = rec.__class__(**{**rec.__dict__, "seconds": 99.0})
         cache_store(rec, str(tmp_path))
         cache_store(other, str(tmp_path))
         assert cache_load(6, str(tmp_path))[rec.code].seconds == 99.0
 
     def test_truncated_line_skipped(self, tmp_path):
-        rec = analyze_graph(cycle_graph(6))
+        g = cycle_graph(6)
+        rec = analyze_graph(g, canonical_form(g))
         cache_store(rec, str(tmp_path))
         path = tmp_path / "atlas-n6.jsonl"
         with open(path, "a", encoding="utf-8") as fh:
@@ -337,20 +340,20 @@ class TestCache:
         real = atlas_mod.analyze_graph
         analyzed = []
 
-        def failing(g):
+        def failing(g, code):
             if len(analyzed) == 5:
                 raise RuntimeError("interrupted")
             analyzed.append(g)
-            return real(g)
+            return real(g, code)
 
         monkeypatch.setattr(atlas_mod, "analyze_graph", failing)
         with pytest.raises(RuntimeError, match="interrupted"):
             atlas_mod.sweep(6, directory=str(tmp_path))
         assert len(cache_load(6, str(tmp_path))) == 5
 
-        def counting(g):
+        def counting(g, code):
             analyzed.append(g)
-            return real(g)
+            return real(g, code)
 
         monkeypatch.setattr(atlas_mod, "analyze_graph", counting)
         resumed = atlas_mod.sweep(6, directory=str(tmp_path))

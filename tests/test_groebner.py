@@ -72,11 +72,6 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(LEX, (1, 0), (1, 0, 0))
 
-    def test_priority_permutation(self):
-        # give e_3 the highest priority: e_3 beats e_1 under permuted lex
-        order = MonomialOrder("lex", priority=(2, 0, 1))
-        assert compare(order, (0, 0, 1), (1, 0, 0)) == GT
-
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             MonomialOrder("grevlex")

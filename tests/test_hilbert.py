@@ -18,9 +18,17 @@ from toricgraph.graphs import (
     path_graph,
     star,
 )
-from toricgraph.groebner import DEGREVLEX, LEX, MonomialIdeal, initial_ideal
+from toricgraph.groebner import (
+    DEGREVLEX,
+    LEX,
+    MonomialIdeal,
+    _mask,
+    initial_ideal,
+    reduce_universal,
+)
 from toricgraph.hilbert import (
     InexactDivisionError,
+    _poly_add,
     a_invariant,
     codegree,
     edge_ring_gb,
@@ -33,7 +41,7 @@ from toricgraph.hilbert import (
     poly_trim,
     tuple_as_json_dict,
 )
-from toricgraph.toric import EmptyEdgeSetError
+from toricgraph.toric import EmptyEdgeSetError, toric_generators
 
 
 def count_standard_monomials(gens, q, d):
@@ -59,6 +67,122 @@ def series_coefficient(numerator, q, d):
 def assert_numerator_matches_counting(gens, q, numerator, max_degree=8):
     for d in range(max_degree + 1):
         assert series_coefficient(numerator, q, d) == count_standard_monomials(gens, q, d)
+
+
+# Reference oracles: the exponent-tuple numerator recursion and the frozenset
+# transversal that `hilbert_numerator` and `krull_dimension` used before they
+# moved to polarized bitmasks.
+
+
+def reference_minimalize(gens):
+    kept = []
+    for m in sorted(set(gens), key=lambda g: (sum(g), g)):
+        if not any(all(x <= y for x, y in zip(k, m)) for k in kept):
+            kept.append(m)
+    return tuple(kept)
+
+
+def reference_numerator(gens):
+    if not gens:
+        return (1,)
+    # complete-intersection base case: pairwise disjoint supports
+    seen = 0
+    disjoint = True
+    for m in gens:
+        mask = _mask(m)
+        if mask & seen:
+            disjoint = False
+            break
+        seen |= mask
+    if disjoint:
+        out = (1,)
+        for m in gens:
+            deg = sum(m)
+            if deg == 0:
+                return ()  # unit ideal, zero quotient
+            out = poly_mul(out, (1,) + (0,) * (deg - 1) + (-1,))
+        return out
+    q = len(gens[0])
+    freq = [0] * q
+    for m in gens:
+        for i, e in enumerate(m):
+            if e:
+                freq[i] += 1
+    pivot = max(range(q), key=lambda i: freq[i])
+    assert freq[pivot] >= 2
+    unit = tuple(1 if i == pivot else 0 for i in range(q))
+    left = tuple(sorted([m for m in gens if m[pivot] == 0] + [unit]))
+    colon = reference_minimalize(
+        tuple(m[:pivot] + (m[pivot] - 1,) + m[pivot + 1:] if m[pivot] else m for m in gens)
+    )
+    right = reference_numerator(colon)
+    return _poly_add(reference_numerator(left), (0,) + right)
+
+
+def reference_min_transversal(supports):
+    # drop dominated supports (supersets of another support)
+    minimal = []
+    for s in sorted(supports, key=len):
+        if not any(t <= s for t in minimal):
+            minimal.append(s)
+
+    def lower_bound(rest):
+        used = set()
+        count = 0
+        for s in rest:
+            if not (s & used):
+                count += 1
+                used |= s
+        return count
+
+    best = len({v for s in minimal for v in s})
+
+    def solve(rest, depth):
+        nonlocal best
+        if not rest:
+            best = min(best, depth)
+            return
+        if depth + lower_bound(rest) >= best:
+            return
+        s = min(rest, key=len)
+        for v in sorted(s):
+            solve([t for t in rest if v not in t], depth + 1)
+
+    solve(minimal, 0)
+    return best
+
+
+def reference_krull_dimension(gens, q):
+    if not gens:
+        return q
+    return q - reference_min_transversal(
+        [frozenset(i for i, e in enumerate(m) if e) for m in gens])
+
+
+def assert_matches_reference(ideal, q):
+    assert hilbert_numerator(ideal, q) == reference_numerator(tuple(sorted(ideal.gens)))
+    assert krull_dimension(ideal, q) == reference_krull_dimension(ideal.gens, q)
+
+
+class TestAgainstReference:
+    def test_initial_ideals_up_to_8(self):
+        for n in range(2, 9):
+            for g in enumerate_connected_bipartite(n):
+                for order in (DEGREVLEX, LEX):
+                    gb = reduce_universal(order, toric_generators(g).generators, nvars=g.q)
+                    assert_matches_reference(initial_ideal(gb), g.q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda q: st.tuples(
+            st.just(q),
+            st.lists(st.tuples(*[st.integers(0, 3)] * q), min_size=1, max_size=8),
+        ))
+    )
+    def test_random_antichains(self, drawn):
+        q, raw = drawn
+        gens = reference_minimalize(m for m in raw if sum(m) > 0)
+        assert_matches_reference(MonomialIdeal(q, gens), q)
 
 
 class TestNumerator:

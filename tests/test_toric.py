@@ -2,15 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricgraph.atlas import enumerate_connected_bipartite
 from toricgraph.graphs import (
     Graph,
     NotBipartiteError,
     complete_bipartite,
     cycle_from_vertices,
     cycle_graph,
+    enumerate_cycles,
     path_graph,
     star,
 )
+from toricgraph.groebner import DEGREVLEX
 from toricgraph.toric import (
     Binomial,
     EmptyEdgeSetError,
@@ -67,6 +70,13 @@ class TestCycleBinomial:
         g = cycle_graph(5)
         with pytest.raises(NotBipartiteError):
             cycle_binomial(g, cycle_from_vertices(g, (0, 1, 2, 3, 4)))
+
+    def test_plus_is_degrevlex_larger(self):
+        graphs = [g for n in range(2, 9) for g in enumerate_connected_bipartite(n)]
+        for g in graphs + [cycle_graph(12)]:
+            for c in enumerate_cycles(g):
+                b = cycle_binomial(g, c)
+                assert DEGREVLEX.key(b.plus) > DEGREVLEX.key(b.minus), (g.edges, c)
 
 
 class TestToricGenerators:
