@@ -44,6 +44,7 @@ from .groebner import DEGREVLEX, LEX
 from .hilbert import (
     IntPoly,
     InvariantTuple,
+    cycle_binomials,
     edge_ring_hilbert,
     invariant_tuple,
     poly_mul,
@@ -178,11 +179,12 @@ def cardinality_formula(n: int) -> int:
 def analyze_graph(g: Graph, code: bytes) -> AtlasRecord:
     """Full pipeline for one graph whose canonical form is `code`:
     invariants, matching number, and the h-polynomial under both monomial
-    orders."""
+    orders, all from one enumeration of the even cycles."""
     start = time.perf_counter()
-    inv = invariant_tuple(g)
-    h = edge_ring_hilbert(g, DEGREVLEX).h_poly
-    h_lex = edge_ring_hilbert(g, LEX).h_poly
+    gens = cycle_binomials(g)
+    data = edge_ring_hilbert(g, DEGREVLEX, gens)
+    inv = invariant_tuple(g, data)
+    h_lex = edge_ring_hilbert(g, LEX, gens).h_poly
     mat = matching_number(g)
     elapsed = time.perf_counter() - start
     return AtlasRecord(
@@ -192,7 +194,7 @@ def analyze_graph(g: Graph, code: bytes) -> AtlasRecord:
         invariants=inv,
         matching=mat,
         seconds=round(elapsed, 6),
-        h_poly=h,
+        h_poly=data.h_poly,
         h_poly_lex=h_lex,
     )
 
@@ -320,10 +322,10 @@ def computed_pairs(
     }
 
 
-def property_sweep(g: Graph, t: InvariantTuple) -> list[tuple[str, bool]]:
-    """Per-graph inequalities and equivalences; all must hold."""
+def property_sweep(g: Graph, t: InvariantTuple, mat: int) -> list[tuple[str, bool]]:
+    """Per-graph inequalities and equivalences, given the invariant tuple and
+    the matching number of g; all must hold."""
     n, q = g.n, g.q
-    mat = matching_number(g)
     forest = q == n - 1  # connected, so acyclic iff tree
     return [
         ("dim_depth_n_minus_1", t.dim == n - 1 and t.depth == n - 1),
@@ -361,7 +363,7 @@ def verify(
 
     for g, rec in records:
         t = rec.invariants
-        for prop, ok in property_sweep(g, t):
+        for prop, ok in property_sweep(g, t, rec.matching):
             note(prop, ok, g)
         note("tuple_shape_r_r_p_n1_n1", t.as_tuple() == (t.reg, t.reg, t.pdim, n - 1, n - 1), g)
         note("h_at_1_nonzero", sum(rec.h_poly) != 0, g)

@@ -274,9 +274,10 @@ def initial_ideal(gb: ReducedGB) -> MonomialIdeal:
     """Initial ideal of a reduced basis: its leading monomials, which already
     form a divisibility antichain."""
     gens = sorted(gb.leading_monomials, key=lambda m: (sum(m), m))
+    masks = [_mask(m) for m in gens]
     for i, a in enumerate(gens):
         for j, b in enumerate(gens):
-            if i != j and _divides(a, b):
+            if i != j and masks[i] & masks[j] == masks[i] and _divides(a, b):
                 raise ValueError("leading monomials of a reduced basis must be an antichain")
     return MonomialIdeal(gb.nvars, tuple(gens))
 

@@ -7,8 +7,11 @@ numerator N(t) with HS = N(t)/(1-t)^q is computed on the polarization of the
 ideal, a squarefree ideal with the same graded Betti numbers and so the same
 numerator (x_i^k becomes k bits; the initial ideal of a bipartite graph is
 squarefree already), by the pivot-variable recursion
-N(I) = N(I + <x>) + t*N(I : x).  Krull dimension comes from the smallest
-transversal of the generator supports.
+N(I) = N(I + <x>) + t*N(I : x).  The series has a pole of order dim at
+t = 1 (Bruns-Herzog, *Cohen-Macaulay Rings*, 4.1), so dividing N by (1-t)
+while it vanishes at 1 gives the h-polynomial and the Krull dimension in one
+step: dim is q minus the number of divisions.  `krull_dimension`, the
+smallest transversal of the generator supports, is kept as its oracle.
 For a connected bipartite graph the edge ring is Cohen-Macaulay, which turns
 the h-polynomial degree and the Krull dimension into the full invariant
 tuple (reg, deg h, pdim, depth, dim).
@@ -17,7 +20,6 @@ tuple (reg, deg h, pdim, depth, dim).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graphs import DisconnectedError, Graph, is_connected
 from .groebner import (
@@ -30,7 +32,13 @@ from .groebner import (
     initial_ideal,
     reduce_universal,
 )
-from .toric import EmptyEdgeSetError, Monomial, toric_generators, validate_kernel_membership
+from .toric import (
+    Binomial,
+    EmptyEdgeSetError,
+    Monomial,
+    toric_generators,
+    validate_kernel_membership,
+)
 
 IntPoly = tuple[int, ...]
 
@@ -176,8 +184,7 @@ def krull_dimension(ideal: MonomialIdeal, q: int) -> int:
 
 
 def _div_one_minus_t(p: IntPoly) -> IntPoly:
-    if sum(p) != 0:
-        raise InexactDivisionError("(1-t) does not divide the numerator; the Krull dimension is too small")
+    # p / (1-t), exact when p(1) = 0
     acc = 0
     out = []
     for c in p[:-1]:
@@ -186,16 +193,30 @@ def _div_one_minus_t(p: IntPoly) -> IntPoly:
     return poly_trim(out)
 
 
+def dim_and_h(numerator: IntPoly, q: int) -> tuple[int, IntPoly]:
+    """(dim, h) with numerator = h * (1-t)^(q-dim) and h(1) != 0: dim is the
+    order of the pole at t = 1 of numerator/(1-t)^q, the Krull dimension of
+    the quotient."""
+    h = poly_trim(numerator)
+    if not h:
+        raise ValueError("numerator must be nonzero")
+    dim = q
+    while sum(h) == 0:
+        if dim == 0:
+            raise InexactDivisionError(f"(1-t)^{q + 1} divides the numerator of a quotient of {q} variables")
+        h = _div_one_minus_t(h)
+        dim -= 1
+    return dim, h
+
+
 def h_polynomial(numerator: IntPoly, q: int, dim: int) -> IntPoly:
     """Divide out (1-t)^(q-dim) exactly, leaving the h-polynomial with h(1) != 0."""
     if not 0 <= dim <= q:
         raise ValueError(f"need 0 <= dim <= q, got dim={dim}, q={q}")
-    h = poly_trim(numerator)
-    if not h:
-        raise ValueError("numerator must be nonzero")
-    for _ in range(q - dim):
-        h = _div_one_minus_t(h)
-    if sum(h) == 0:
+    pole, h = dim_and_h(numerator, q)
+    if dim < pole:
+        raise InexactDivisionError("(1-t) does not divide the numerator; the Krull dimension is too small")
+    if dim > pole:
         raise InexactDivisionError("h(1) = 0; the Krull dimension is too large")
     return h
 
@@ -206,34 +227,44 @@ def _in_kernel(g: Graph, gb: ReducedGB) -> ReducedGB:
     return gb
 
 
+def cycle_binomials(g: Graph) -> tuple[Binomial, ...]:
+    """The even-cycle binomials of g, which generate its toric ideal and form
+    a universal Groebner basis of it."""
+    return toric_generators(g).generators
+
+
 def edge_ring_gb(g: Graph, order: MonomialOrder = DEGREVLEX) -> ReducedGB:
     """Reduced Groebner basis of the toric ideal of g by Buchberger's
     algorithm, the oracle for `edge_ring_hilbert`; every element is checked
     to lie in the kernel of the edge-to-vertex map."""
-    return _in_kernel(g, buchberger(order, toric_generators(g).generators, nvars=g.q))
+    return _in_kernel(g, buchberger(order, cycle_binomials(g), nvars=g.q))
 
 
-# cached: analyze_graph reads the degrevlex data invariant_tuple just computed
-@lru_cache(maxsize=None)
-def edge_ring_hilbert(g: Graph, order: MonomialOrder = DEGREVLEX) -> HilbertData:
+def edge_ring_hilbert(g: Graph, order: MonomialOrder = DEGREVLEX,
+                      gens: tuple[Binomial, ...] | None = None) -> HilbertData:
     """Hilbert data of the initial ideal of the toric ideal of g, read off
     the reduced basis that the even-cycle binomials give directly; every
-    basis element is checked to lie in the kernel."""
-    gb = _in_kernel(g, reduce_universal(order, toric_generators(g).generators, nvars=g.q))
-    ideal = initial_ideal(gb)
-    numerator = hilbert_numerator(ideal, g.q)
-    dim = krull_dimension(ideal, g.q)
-    return HilbertData(numerator, dim, h_polynomial(numerator, g.q, dim))
+    basis element is checked to lie in the kernel.  `gens` is
+    `cycle_binomials(g)` when the caller already holds it."""
+    if gens is None:
+        gens = cycle_binomials(g)
+    gb = _in_kernel(g, reduce_universal(order, gens, nvars=g.q))
+    numerator = hilbert_numerator(initial_ideal(gb), g.q)
+    dim, h = dim_and_h(numerator, g.q)
+    return HilbertData(numerator, dim, h)
 
 
-def invariant_tuple(g: Graph) -> InvariantTuple:
+def invariant_tuple(g: Graph, data: HilbertData | None = None) -> InvariantTuple:
     """(reg, deg h, pdim, depth, dim) of the edge ring of a connected
-    bipartite graph, via the Groebner/Hilbert route."""
+    bipartite graph, via the Groebner/Hilbert route.  `data` is
+    `edge_ring_hilbert(g, order)`, for any order, when the caller already
+    holds it: the Hilbert series does not depend on the order."""
     if g.n < 2 or g.q == 0:
         raise EmptyEdgeSetError("need at least one edge (two vertices)")
     if not is_connected(g):
         raise DisconnectedError("invariants are computed for connected graphs only")
-    data = edge_ring_hilbert(g, DEGREVLEX)
+    if data is None:
+        data = edge_ring_hilbert(g, DEGREVLEX)
     dim = data.krull_dim
     assert dim == g.n - 1, f"dim {dim} != n-1 = {g.n - 1}"
     deg_h = len(data.h_poly) - 1

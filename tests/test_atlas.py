@@ -13,7 +13,9 @@ from toricgraph.atlas import (
     computed_pairs,
     enumerate_connected_bipartite,
     property_sweep,
+    record_to_json_dict,
     report_to_json_dict,
+    sweep,
     theoretical_pairs,
     verify,
 )
@@ -25,6 +27,7 @@ from toricgraph.graphs import (
     cycle_graph,
     is_bipartite,
     is_connected,
+    matching_number,
     path_graph,
     star,
 )
@@ -37,6 +40,12 @@ KNOWN_CLASS_COUNTS = {2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44}
 ENUMERATION_DIGESTS = {
     8: "6b0ed7704fc6ffdb6c4d82667067d2d583fd6b767ddcf3a3e1615e9df921480c",
     9: "8292105089124140084ab010820afc6cc345102e94feff38e01e3fdb51aa095e",
+}
+
+# sha256 over the JSON cache lines of sweep(n), "seconds" dropped, in sweep
+# order: pins every record field the pipeline computes
+RECORD_DIGESTS = {
+    8: "821dec815bf2dc7c827b50c4d62b5f1dbbc63e94ab8aa14c4328ab79767c4d7b",
 }
 
 
@@ -203,17 +212,17 @@ class TestPairSets:
 class TestPropertySweep:
     def test_c6_all_pass(self):
         g = cycle_graph(6)
-        assert all(ok for _, ok in property_sweep(g, invariant_tuple(g)))
+        assert all(ok for _, ok in property_sweep(g, invariant_tuple(g), matching_number(g)))
 
     def test_k44_edge_bound_tight(self):
         g = complete_bipartite(4, 4)
         t = invariant_tuple(g)
         assert t.reg == 3 and g.q == (t.reg + 1) * (g.n - t.reg - 1)
-        assert all(ok for _, ok in property_sweep(g, t))
+        assert all(ok for _, ok in property_sweep(g, t, matching_number(g)))
 
     def test_tree_forest_equivalence(self):
         g = star(6)
-        checks = dict(property_sweep(g, invariant_tuple(g)))
+        checks = dict(property_sweep(g, invariant_tuple(g), matching_number(g)))
         assert checks["forest_iff_reg0_iff_pdim0"]
 
     def test_wrong_tuple_fails(self):
@@ -221,7 +230,7 @@ class TestPropertySweep:
 
         g = cycle_graph(6)
         bogus = InvariantTuple(4, 4, 1, 5, 5)
-        checks = dict(property_sweep(g, bogus))
+        checks = dict(property_sweep(g, bogus, matching_number(g)))
         assert not checks["reg_below_half_n"]
 
 
@@ -266,6 +275,33 @@ class TestVerify:
             "failures", "property_passes",
         }
         json.dumps(d)  # serializable
+
+
+class TestAnalyzeGraph:
+    def test_enumerates_cycles_once(self, monkeypatch):
+        import toricgraph.hilbert as hilbert_mod
+
+        real = hilbert_mod.toric_generators
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(hilbert_mod, "toric_generators", counting)
+        g = complete_bipartite(3, 4)
+        rec = analyze_graph(g, canonical_form(g))
+        assert len(calls) == 1
+        assert rec.invariants == invariant_tuple(g)
+
+    @pytest.mark.parametrize("n", sorted(RECORD_DIGESTS))
+    def test_records_are_pinned(self, n):
+        digest = hashlib.sha256()
+        for _, rec in sweep(n, use_cache=False):
+            d = record_to_json_dict(rec)
+            del d["seconds"]
+            digest.update((json.dumps(d) + "\n").encode())
+        assert digest.hexdigest() == RECORD_DIGESTS[n]
 
 
 class TestCache:

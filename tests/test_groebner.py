@@ -14,6 +14,7 @@ from toricgraph.groebner import (
     LEX,
     LT,
     MonomialOrder,
+    ReducedGB,
     buchberger,
     compare,
     initial_ideal,
@@ -199,6 +200,22 @@ class TestInitialIdeal:
             for b in ideal.gens:
                 if a != b:
                     assert not all(x <= y for x, y in zip(a, b))
+
+    def test_rejects_leading_monomials_that_divide(self):
+        gb = ReducedGB(DEGREVLEX, 4, (
+            Binomial((1, 1, 0, 0), (0, 0, 1, 1)),
+            Binomial((2, 1, 0, 0), (0, 0, 1, 2)),
+        ))
+        with pytest.raises(ValueError, match="antichain"):
+            initial_ideal(gb)
+
+    def test_support_inside_another_is_not_divisibility(self):
+        # x1^2 and x1*x2: the support {x1} lies in {x1, x2}, yet neither divides
+        gb = ReducedGB(DEGREVLEX, 4, (
+            Binomial((2, 0, 0, 0), (0, 0, 1, 1)),
+            Binomial((1, 1, 0, 0), (0, 0, 0, 2)),
+        ))
+        assert initial_ideal(gb).gens == ((1, 1, 0, 0), (2, 0, 0, 0))
 
 
 class TestOrderIndependence:

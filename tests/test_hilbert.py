@@ -31,6 +31,7 @@ from toricgraph.hilbert import (
     _poly_add,
     a_invariant,
     codegree,
+    dim_and_h,
     edge_ring_gb,
     edge_ring_hilbert,
     h_polynomial,
@@ -160,8 +161,14 @@ def reference_krull_dimension(gens, q):
 
 
 def assert_matches_reference(ideal, q):
-    assert hilbert_numerator(ideal, q) == reference_numerator(tuple(sorted(ideal.gens)))
-    assert krull_dimension(ideal, q) == reference_krull_dimension(ideal.gens, q)
+    numerator = hilbert_numerator(ideal, q)
+    assert numerator == reference_numerator(tuple(sorted(ideal.gens)))
+    dim = krull_dimension(ideal, q)
+    assert dim == reference_krull_dimension(ideal.gens, q)
+    # the pipeline reads dim off the pole at t = 1; the transversal is its oracle
+    pole, h = dim_and_h(numerator, q)
+    assert pole == dim
+    assert poly_mul(h, _one_minus_t_power(q - dim)) == numerator
 
 
 class TestAgainstReference:
@@ -244,6 +251,21 @@ class TestNumerator:
         assert_numerator_matches_counting(gens, 4, n, max_degree=6)
 
 
+class TestPoleOrder:
+    def test_zero_numerator_rejected(self):
+        for numerator in ((), (0,), (0, 0, 0)):
+            with pytest.raises(ValueError, match="nonzero"):
+                dim_and_h(numerator, 3)
+
+    def test_divides_at_most_q_times(self):
+        cube = _one_minus_t_power(3)
+        assert dim_and_h(cube, 3) == (0, (1,))
+        with pytest.raises(InexactDivisionError):
+            dim_and_h(cube, 2)
+        with pytest.raises(InexactDivisionError):
+            dim_and_h((1, -1), 0)
+
+
 class TestKrullDimension:
     def test_empty(self):
         assert krull_dimension(MonomialIdeal(6, ()), 6) == 6
@@ -295,6 +317,10 @@ class TestHPolynomial:
         with pytest.raises(ValueError):
             h_polynomial((1,), 3, 4)
 
+    def test_zero_numerator(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            h_polynomial((0, 0), 3, 2)
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.lists(st.integers(-4, 4), min_size=1, max_size=6),
@@ -338,6 +364,21 @@ class TestInvariantTuple:
             invariant_tuple(Graph(4, ((0, 1), (2, 3))))
         with pytest.raises(NotBipartiteError):
             invariant_tuple(cycle_graph(5))
+
+    def test_reuses_hilbert_data_of_any_order(self):
+        for g in (cycle_graph(8), complete_bipartite(3, 4), cycle_core_graph(10, 3, 2)):
+            expected = invariant_tuple(g)
+            for order in (DEGREVLEX, LEX):
+                assert invariant_tuple(g, edge_ring_hilbert(g, order)) == expected
+
+    def test_carried_binomials_give_the_same_data(self):
+        g = complete_bipartite(3, 4)
+        gens = toric_generators(g).generators
+        for order in (DEGREVLEX, LEX):
+            assert edge_ring_hilbert(g, order, gens) == edge_ring_hilbert(g, order)
+
+    def test_edge_ring_hilbert_is_not_cached(self):
+        assert not hasattr(edge_ring_hilbert, "cache_info")
 
     def test_numerator_factors_exactly(self):
         for g in (cycle_graph(8), complete_bipartite(2, 4)):
