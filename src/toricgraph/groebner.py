@@ -5,9 +5,9 @@ monomials with unit coefficients: reducing a monomial by such a basis yields
 a single monomial, reducing a difference yields a difference or zero, so no
 general polynomial arithmetic is needed.  Two routes end in the same reduced
 basis: `reduce_universal` minimalizes and interreduces generators that
-already form a universal Groebner basis (the even-cycle binomials of a
-bipartite graph), and `buchberger` completes arbitrary binomial generators
-first, pruning S-pairs with the coprime and Gebauer-Moeller chain criteria.
+already form a Groebner basis for the order (such as the even-cycle binomials
+of a bipartite graph, or the subset of them that the pruned cycle search
+keeps), and `buchberger` completes arbitrary binomial generators first, pruning S-pairs with the coprime and Gebauer-Moeller chain criteria.
 """
 
 from __future__ import annotations
@@ -169,15 +169,18 @@ def _reduce(order: MonomialOrder, q: int, lms: list[Monomial], tails: list[Monom
 
 def reduce_universal(order: MonomialOrder, gens, nvars: int | None = None) -> ReducedGB:
     """Reduced Groebner basis of the ideal generated by `gens`, provided the
-    generators already form a universal Groebner basis of it; no S-pair is
-    formed.
+    generators already form a Groebner basis of it for `order`; no S-pair is
+    formed.  A universal Groebner basis qualifies for every order, but the
+    input need not be one.
 
     The incidence matrix of a bipartite graph is totally unimodular, so its
     circuits, the even-cycle binomials, are a universal Groebner basis of the
     toric ideal (Sturmfels, *Groebner Bases and Convex Polytopes*, 1996,
-    ch. 8; Villarreal, "Rees algebras of edge ideals", 1995).  Orienting them
-    for `order`, keeping the minimal leading monomials and reducing the tails
-    then gives the same basis as `buchberger`.
+    ch. 8; Villarreal, "Rees algebras of edge ideals", 1995); any subset of
+    them that still holds every minimal leading monomial for `order`, such as
+    `toric.leading_cycle_binomials`, is a Groebner basis for it.  Orienting
+    the generators for `order`, keeping the minimal leading monomials and
+    reducing the tails then gives the same basis as `buchberger`.
     """
     gens = list(gens)
     q = _ring_size(gens, nvars)

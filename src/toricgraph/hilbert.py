@@ -1,13 +1,16 @@
 """Hilbert series of monomial quotients and the invariant pipeline.
 
-The initial ideal comes from the reduced basis that the even-cycle binomials
-give directly (`reduce_universal`); Buchberger's algorithm is kept as the
-oracle `edge_ring_gb`.  Monomials are carried as int bitmasks.  The Hilbert
-numerator N(t) with HS = N(t)/(1-t)^q is computed on the polarization of the
-ideal, a squarefree ideal with the same graded Betti numbers and so the same
-numerator (x_i^k becomes k bits; the initial ideal of a bipartite graph is
-squarefree already), by the pivot-variable recursion
-N(I) = N(I + <x>) + t*N(I : x).  The series has a pole of order dim at
+The initial ideal comes from a reduced Groebner basis read off the even-cycle
+binomials without S-pairs: the cycle search `leading_cycle_binomials` grows
+only the cycles whose leading half contains no leading half kept before,
+and `reduce_universal` minimalizes and interreduces what it keeps.  The full
+cycle enumeration (`cycle_binomials`) stays as the reference and feeds
+Buchberger's algorithm, the oracle `edge_ring_gb`.  Monomials are carried as
+int bitmasks.  The Hilbert numerator N(t) with HS = N(t)/(1-t)^q is computed
+on the polarization of the ideal, a squarefree ideal with the same graded
+Betti numbers and so the same numerator (x_i^k becomes k bits; the initial
+ideal of a bipartite graph is squarefree already), by the pivot-variable
+recursion N(I) = N(I + <x>) + t*N(I : x).  The series has a pole of order dim at
 t = 1 (Bruns-Herzog, *Cohen-Macaulay Rings*, 4.1), so dividing N by (1-t)
 while it vanishes at 1 gives the h-polynomial and the Krull dimension in one
 step: dim is q minus the number of divisions.  `krull_dimension`, the
@@ -36,6 +39,7 @@ from .toric import (
     Binomial,
     EmptyEdgeSetError,
     Monomial,
+    leading_cycle_binomials,
     toric_generators,
     validate_kernel_membership,
 )
@@ -240,14 +244,12 @@ def edge_ring_gb(g: Graph, order: MonomialOrder = DEGREVLEX) -> ReducedGB:
     return _in_kernel(g, buchberger(order, cycle_binomials(g), nvars=g.q))
 
 
-def edge_ring_hilbert(g: Graph, order: MonomialOrder = DEGREVLEX,
-                      gens: tuple[Binomial, ...] | None = None) -> HilbertData:
+def edge_ring_hilbert(g: Graph, order: MonomialOrder = DEGREVLEX) -> HilbertData:
     """Hilbert data of the initial ideal of the toric ideal of g, read off
-    the reduced basis that the even-cycle binomials give directly; every
-    basis element is checked to lie in the kernel.  `gens` is
-    `cycle_binomials(g)` when the caller already holds it."""
-    if gens is None:
-        gens = cycle_binomials(g)
+    the reduced basis of the even-cycle binomials that the pruned search
+    `leading_cycle_binomials` keeps; every basis element is checked to lie
+    in the kernel."""
+    gens = leading_cycle_binomials(g, order)
     gb = _in_kernel(g, reduce_universal(order, gens, nvars=g.q))
     numerator = hilbert_numerator(initial_ideal(gb), g.q)
     dim, h = dim_and_h(numerator, g.q)

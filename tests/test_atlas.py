@@ -265,8 +265,22 @@ class TestVerify:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         report = verify(6, with_betti_oracle=True, directory=str(tmp_path))
         assert report.counterexamples == (
-            f"betti_euler_matches_numerator: n=6 edges={g.edges}",
+            f"betti_euler_matches_numerator: n=6 code={c6} edges={g.edges}",
         )
+
+    def test_counterexample_names_the_canonical_code(self, monkeypatch):
+        import toricgraph.atlas as atlas_mod
+
+        real = atlas_mod.property_sweep
+
+        def failing(g, t, mat):
+            return [(prop, ok and (prop, g.q) != ("pdim_q_n_1", 5)) for prop, ok in real(g, t, mat)]
+
+        monkeypatch.setattr(atlas_mod, "property_sweep", failing)
+        (row,) = [(g, rec) for g, rec in sweep(5, use_cache=False) if g.q == 5]
+        g, rec = row
+        report = verify(5, use_cache=False)
+        assert report.counterexamples == (f"pdim_q_n_1: n=5 code={rec.code} edges={g.edges}",)
 
     def test_report_json_schema(self):
         d = report_to_json_dict(verify(4, use_cache=False))
@@ -278,20 +292,17 @@ class TestVerify:
 
 
 class TestAnalyzeGraph:
-    def test_enumerates_cycles_once(self, monkeypatch):
+    def test_runs_no_full_cycle_enumeration(self, monkeypatch):
+        # the pruned search replaces the full enumeration, which stays an oracle
         import toricgraph.hilbert as hilbert_mod
+        import toricgraph.toric as toric_mod
 
-        real = hilbert_mod.toric_generators
         calls = []
-
-        def counting(g):
-            calls.append(g)
-            return real(g)
-
-        monkeypatch.setattr(hilbert_mod, "toric_generators", counting)
+        for mod, name in ((hilbert_mod, "toric_generators"), (toric_mod, "enumerate_cycles")):
+            monkeypatch.setattr(mod, name, lambda g, name=name: calls.append(name))
         g = complete_bipartite(3, 4)
         rec = analyze_graph(g, canonical_form(g))
-        assert len(calls) == 1
+        assert calls == []
         assert rec.invariants == invariant_tuple(g)
 
     @pytest.mark.parametrize("n", sorted(RECORD_DIGESTS))

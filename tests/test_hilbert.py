@@ -371,12 +371,6 @@ class TestInvariantTuple:
             for order in (DEGREVLEX, LEX):
                 assert invariant_tuple(g, edge_ring_hilbert(g, order)) == expected
 
-    def test_carried_binomials_give_the_same_data(self):
-        g = complete_bipartite(3, 4)
-        gens = toric_generators(g).generators
-        for order in (DEGREVLEX, LEX):
-            assert edge_ring_hilbert(g, order, gens) == edge_ring_hilbert(g, order)
-
     def test_edge_ring_hilbert_is_not_cached(self):
         assert not hasattr(edge_ring_hilbert, "cache_info")
 

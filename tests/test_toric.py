@@ -7,18 +7,21 @@ from toricgraph.graphs import (
     Graph,
     NotBipartiteError,
     complete_bipartite,
+    complete_core_graph,
+    cycle_core_graph,
     cycle_from_vertices,
     cycle_graph,
     enumerate_cycles,
     path_graph,
     star,
 )
-from toricgraph.groebner import DEGREVLEX
+from toricgraph.groebner import DEGLEX, DEGREVLEX, LEX, reduce_universal
 from toricgraph.toric import (
     Binomial,
     EmptyEdgeSetError,
     binomial_str,
     cycle_binomial,
+    leading_cycle_binomials,
     monomial_str,
     toric_generators,
     validate_kernel_membership,
@@ -119,6 +122,60 @@ class TestToricGenerators:
 
         pres = toric_generators(g)
         assert (pres.generators == ()) == (enumerate_cycles(g) == ())
+
+
+def witness_grid():
+    """Every constructor witness at n = 10, 11 (118 graphs)."""
+    out = []
+    for n in (10, 11):
+        for r in range(1, n // 2):
+            out += [cycle_core_graph(n, r, p) for p in range(1, r * r + 1)]
+            out += [complete_core_graph(n, r, p) for p in range(r * r, r * (n - 2 - r) + 1)]
+    return out
+
+
+def assert_same_reduced_basis(g, orders):
+    """The pruned search gives the reduced basis of the full enumeration,
+    and keeps only cycle binomials of g, oriented for the order."""
+    cycles = toric_generators(g).generators
+    both_ways = set(cycles) | {Binomial(b.minus, b.plus) for b in cycles}
+    for order in orders:
+        kept = leading_cycle_binomials(g, order)
+        assert set(kept) <= both_ways, (g.edges, order.kind)
+        assert all(order.key(b.plus) > order.key(b.minus) for b in kept), (g.edges, order.kind)
+        assert reduce_universal(order, kept, g.q) == reduce_universal(order, cycles, g.q), (
+            g.edges, order.kind)
+
+
+class TestLeadingCycleBinomials:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_same_basis_on_every_class(self, n):
+        for g in enumerate_connected_bipartite(n):
+            assert_same_reduced_basis(g, (DEGREVLEX, DEGLEX, LEX))
+
+    def test_same_basis_on_dense_graphs(self):
+        graphs = witness_grid() + [complete_bipartite(5, 5), complete_bipartite(5, 6), cycle_graph(12)]
+        assert len(graphs) == 121
+        for g in graphs:
+            assert_same_reduced_basis(g, (DEGREVLEX, LEX))
+
+    def test_k56_keeps_under_a_tenth_of_its_cycles(self):
+        g = complete_bipartite(5, 6)
+        assert len(enumerate_cycles(g)) == 15390
+        for order in (DEGREVLEX, LEX):
+            assert len(leading_cycle_binomials(g, order)) < 1539, order.kind
+
+    def test_not_bipartite(self):
+        with pytest.raises(NotBipartiteError):
+            leading_cycle_binomials(cycle_graph(5), DEGREVLEX)
+
+    def test_empty_edge_set(self):
+        with pytest.raises(EmptyEdgeSetError):
+            leading_cycle_binomials(Graph(1, ()), LEX)
+
+    def test_tree_yields_nothing(self):
+        for order in (DEGREVLEX, LEX):
+            assert leading_cycle_binomials(path_graph(6), order) == ()
 
 
 class TestDegreeVector:
