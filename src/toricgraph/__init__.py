@@ -2,13 +2,13 @@
 
 The pipeline: even cycles give binomial generators of the toric ideal; they
 form a universal Groebner basis, so a cycle search that grows only the
-cycles whose leading half no kept leading term divides, followed by reducing
-the tails, gives the initial ideal (the full cycle enumeration and
-Buchberger's algorithm are kept as oracles); the Hilbert series of the
-initial ideal gives the h-polynomial, and the order of its pole at t = 1
-gives the Krull dimension (the minimal transversal `krull_dimension` is kept
-as an oracle); Cohen-Macaulayness of bipartite edge rings turns those into
-the full tuple (regularity, deg h, projective dimension, depth, dimension).
+cycles whose leading half no kept leading half divides gives the initial
+ideal as int edge masks (the full cycle enumeration and Buchberger's
+algorithm are kept as oracles); the Hilbert series of the initial ideal
+gives the h-polynomial, and the order of its pole at t = 1 gives the Krull
+dimension (the minimal transversal `krull_dimension` is kept as an oracle);
+Cohen-Macaulayness of bipartite edge rings turns those into the full tuple
+(regularity, deg h, projective dimension, depth, dimension).
 The atlas enumerates all connected bipartite graphs on n vertices up to
 isomorphism, runs the pipeline once per graph under degrevlex and lex, and
 verifies the realized (regularity, pdim) pairs against their closed-form
@@ -48,7 +48,7 @@ from .toric import (
     ToricPresentation,
     binomial_str,
     cycle_binomial,
-    leading_cycle_binomials,
+    leading_cycles,
     monomial_str,
     toric_generators,
     validate_kernel_membership,
@@ -68,7 +68,6 @@ from .groebner import (
     compare,
     initial_ideal,
     normal_form,
-    reduce_universal,
 )
 from .hilbert import (
     HilbertData,

@@ -53,6 +53,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _jobs(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _family_graph(name: str, params: list[int]) -> Graph:
     if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}")
@@ -197,21 +203,20 @@ def _scatter_svg(pairs, n: int) -> str:
 
 
 def cmd_plot(args) -> int:
+    if not args.out.endswith((".csv", ".svg")):
+        raise ValueError(f"--out must end in .csv or .svg, got {args.out!r}")
     if args.source == "computed":
         pairs = atlas.computed_pairs(args.n, jobs=args.jobs, force=args.force)
     else:
         pairs = atlas.theoretical_pairs(args.n)
-    if args.out.endswith(".csv"):
-        with open(args.out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
+        if args.out.endswith(".csv"):
             fh.write("r,p\n")
             for r, p in sorted(pairs):
                 fh.write(f"{r},{p}\n")
-    elif args.out.endswith(".svg"):
-        with open(args.out, "w", encoding="utf-8") as fh:
+        else:
             fh.write(_scatter_svg(pairs, args.n))
             fh.write("\n")
-    else:
-        raise ValueError(f"--out must end in .csv or .svg, got {args.out!r}")
     print(f"wrote {len(pairs)} points to {args.out}")
     return 0
 
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check realized pairs against the closed form")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--with-betti-oracle", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--out", metavar="FILE", help="report JSON path")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--force", action="store_true", help="override the size guard")
@@ -258,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True, metavar="FILE.svg|csv")
     p.add_argument("--source", choices=["theoretical", "computed"], default="theoretical")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_plot)
     return parser

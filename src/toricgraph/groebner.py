@@ -3,11 +3,13 @@
 Everything here is specialized to ideals generated by differences of
 monomials with unit coefficients: reducing a monomial by such a basis yields
 a single monomial, reducing a difference yields a difference or zero, so no
-general polynomial arithmetic is needed.  Two routes end in the same reduced
-basis: `reduce_universal` minimalizes and interreduces generators that
-already form a Groebner basis for the order (such as the even-cycle binomials
-of a bipartite graph, or the subset of them that the pruned cycle search
-keeps), and `buchberger` completes arbitrary binomial generators first, pruning S-pairs with the coprime and Gebauer-Moeller chain criteria.
+general polynomial arithmetic is needed.  `buchberger` completes arbitrary
+binomial generators to the reduced basis, pruning S-pairs with the coprime
+and Gebauer-Moeller chain criteria, and `initial_ideal` reads off its
+leading monomials.  The invariant pipeline needs neither: it takes the
+initial ideal from the even-cycle search in `toric`.  Both stay as the
+oracle the pipeline is checked against and as the public API for arbitrary
+binomial ideals.
 """
 
 from __future__ import annotations
@@ -165,29 +167,6 @@ def _reduce(order: MonomialOrder, q: int, lms: list[Monomial], tails: list[Monom
         elements.append(Binomial(lm, _nf_monomial(tail, min_lms, min_tails, min_masks)))
     elements.sort(key=lambda b: key(b.plus))
     return ReducedGB(order, q, tuple(elements))
-
-
-def reduce_universal(order: MonomialOrder, gens, nvars: int | None = None) -> ReducedGB:
-    """Reduced Groebner basis of the ideal generated by `gens`, provided the
-    generators already form a Groebner basis of it for `order`; no S-pair is
-    formed.  A universal Groebner basis qualifies for every order, but the
-    input need not be one.
-
-    The incidence matrix of a bipartite graph is totally unimodular, so its
-    circuits, the even-cycle binomials, are a universal Groebner basis of the
-    toric ideal (Sturmfels, *Groebner Bases and Convex Polytopes*, 1996,
-    ch. 8; Villarreal, "Rees algebras of edge ideals", 1995); any subset of
-    them that still holds every minimal leading monomial for `order`, such as
-    `toric.leading_cycle_binomials`, is a Groebner basis for it.  Orienting
-    the generators for `order`, keeping the minimal leading monomials and
-    reducing the tails then gives the same basis as `buchberger`.
-    """
-    gens = list(gens)
-    q = _ring_size(gens, nvars)
-    key = order.key
-    oriented = [(g.plus, g.minus) if key(g.plus) > key(g.minus) else (g.minus, g.plus)
-                for g in gens]
-    return _reduce(order, q, [a for a, _ in oriented], [b for _, b in oriented])
 
 
 def buchberger(order: MonomialOrder, gens, nvars: int | None = None) -> ReducedGB:

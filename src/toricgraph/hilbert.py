@@ -1,16 +1,18 @@
 """Hilbert series of monomial quotients and the invariant pipeline.
 
-The initial ideal comes from a reduced Groebner basis read off the even-cycle
-binomials without S-pairs: the cycle search `leading_cycle_binomials` grows
-only the cycles whose leading half contains no leading half kept before,
-and `reduce_universal` minimalizes and interreduces what it keeps.  The full
-cycle enumeration (`cycle_binomials`) stays as the reference and feeds
-Buchberger's algorithm, the oracle `edge_ring_gb`.  Monomials are carried as
-int bitmasks.  The Hilbert numerator N(t) with HS = N(t)/(1-t)^q is computed
-on the polarization of the ideal, a squarefree ideal with the same graded
-Betti numbers and so the same numerator (x_i^k becomes k bits; the initial
-ideal of a bipartite graph is squarefree already), by the pivot-variable
-recursion N(I) = N(I + <x>) + t*N(I : x).  The series has a pole of order dim at
+A toric ideal and its initial ideal have the same Hilbert function
+(Sturmfels, *Groebner Bases and Convex Polytopes*, 1996), so the
+pipeline needs only the minimal leading halves of the even-cycle binomials:
+the cycle search `leading_cycles` grows only the cycles whose leading half
+contains no leading half kept before, as int edge masks, and `_minimal`
+drops the halves that contain another.  No tail is reduced and no exponent
+tuple is built.  The full cycle enumeration (`cycle_binomials`) stays as the
+reference and feeds Buchberger's algorithm, the oracle `edge_ring_gb`.  The
+Hilbert numerator N(t) with HS = N(t)/(1-t)^q is computed on squarefree
+masks by the pivot-variable recursion N(I) = N(I + <x>) + t*N(I : x);
+`hilbert_numerator` takes an arbitrary monomial ideal to that form by
+polarization, which keeps the graded Betti numbers and so the numerator
+(x_i^k becomes k bits).  The series has a pole of order dim at
 t = 1 (Bruns-Herzog, *Cohen-Macaulay Rings*, 4.1), so dividing N by (1-t)
 while it vanishes at 1 gives the h-polynomial and the Krull dimension in one
 step: dim is q minus the number of divisions.  `krull_dimension`, the
@@ -32,14 +34,13 @@ from .groebner import (
     ReducedGB,
     _mask,
     buchberger,
-    initial_ideal,
-    reduce_universal,
+    initial_ideal,  # unused here; perfbench/spans.py rebinds hilbert.initial_ideal
 )
 from .toric import (
     Binomial,
     EmptyEdgeSetError,
     Monomial,
-    leading_cycle_binomials,
+    leading_cycles,
     toric_generators,
     validate_kernel_membership,
 )
@@ -225,10 +226,19 @@ def h_polynomial(numerator: IntPoly, q: int, dim: int) -> IntPoly:
     return h
 
 
-def _in_kernel(g: Graph, gb: ReducedGB) -> ReducedGB:
-    for b in gb.elements:
-        assert validate_kernel_membership(g, b), "basis element escaped the kernel"
-    return gb
+def _in_kernel(g: Graph, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    # edge i maps to a vertex-degree vector packed into one int, a field of
+    # s bits per vertex; no field exceeds q < 2**s, so the packed sums of two
+    # edge masks are equal exactly when their vertex-degree vectors are
+    s = g.q.bit_length() + 1
+    packed = [1 << s * u | 1 << s * v for u, v in g.edges]
+
+    def image(mask: int) -> int:
+        return sum(p for i, p in enumerate(packed) if mask >> i & 1)
+
+    for lead, trail in pairs:
+        assert lead != trail and image(lead) == image(trail), "cycle escaped the kernel"
+    return pairs
 
 
 def cycle_binomials(g: Graph) -> tuple[Binomial, ...]:
@@ -241,17 +251,19 @@ def edge_ring_gb(g: Graph, order: MonomialOrder = DEGREVLEX) -> ReducedGB:
     """Reduced Groebner basis of the toric ideal of g by Buchberger's
     algorithm, the oracle for `edge_ring_hilbert`; every element is checked
     to lie in the kernel of the edge-to-vertex map."""
-    return _in_kernel(g, buchberger(order, cycle_binomials(g), nvars=g.q))
+    gb = buchberger(order, cycle_binomials(g), nvars=g.q)
+    for b in gb.elements:
+        assert validate_kernel_membership(g, b), "basis element escaped the kernel"
+    return gb
 
 
 def edge_ring_hilbert(g: Graph, order: MonomialOrder = DEGREVLEX) -> HilbertData:
     """Hilbert data of the initial ideal of the toric ideal of g, read off
-    the reduced basis of the even-cycle binomials that the pruned search
-    `leading_cycle_binomials` keeps; every basis element is checked to lie
-    in the kernel."""
-    gens = leading_cycle_binomials(g, order)
-    gb = _in_kernel(g, reduce_universal(order, gens, nvars=g.q))
-    numerator = hilbert_numerator(initial_ideal(gb), g.q)
+    the minimal leading halves of the even cycles that the pruned search
+    `leading_cycles` keeps; every kept cycle is checked to lie in the
+    kernel."""
+    pairs = _in_kernel(g, leading_cycles(g, order))
+    numerator = _numerator(_minimal(lead for lead, _ in pairs))
     dim, h = dim_and_h(numerator, g.q)
     return HilbertData(numerator, dim, h)
 

@@ -1,8 +1,10 @@
 """Toric ideal of a graph: binomial generators from even cycles.
 
-Monomials in the edge variables e_1..e_q are exponent tuples of length q.
 For bipartite graphs the toric ideal is generated by one binomial per even
-cycle: the difference of the products of alternating cycle edges.
+cycle: the difference of the products of alternating cycle edges.  The full
+enumeration `toric_generators` carries monomials in the edge variables
+e_1..e_q as exponent tuples of length q; the pruned search `leading_cycles`
+carries each cycle's two halves as int edge masks, bit i for e_{i+1}.
 """
 
 from __future__ import annotations
@@ -92,9 +94,10 @@ def toric_generators(g: Graph) -> ToricPresentation:
     return ToricPresentation(g, gens)
 
 
-def leading_cycle_binomials(g: Graph, order: MonomialOrder) -> tuple[Binomial, ...]:
-    """Even-cycle binomials of g that still form a Groebner basis for
-    `order`, oriented for it (`plus` leads); a forest yields none.
+def leading_cycles(g: Graph, order: MonomialOrder) -> tuple[tuple[int, int], ...]:
+    """Even cycles of g whose binomials still form a Groebner basis for
+    `order`, as (lead, trail) edge masks with bit i for e_{i+1}, the leading
+    half first; a forest yields none.
 
     The halves of a cycle binomial are disjoint squarefree monomials of one
     degree.  Under degrevlex the half without the cycle's largest edge index
@@ -106,34 +109,37 @@ def leading_cycle_binomials(g: Graph, order: MonomialOrder) -> tuple[Binomial, .
     as soon as its leading half contains the leading half K of a cycle kept
     before: K then divides the cycle's leading monomial, so the cycle adds
     nothing to the initial ideal.  This holds in any visiting order, so the
-    kept binomials, a subset of the universal Groebner basis
+    kept cycles, a subset of the universal Groebner basis
     `toric_generators(g)` with the same initial ideal, are a Groebner basis.
+    (The incidence matrix of a bipartite graph is totally unimodular, so its
+    circuits, the even-cycle binomials, form a universal Groebner basis:
+    Sturmfels, *Groebner Bases and Convex Polytopes*, 1996, ch. 8.)
     """
     if g.q == 0:
         raise EmptyEdgeSetError("graph has no edges")
     bipartition(g)  # raises NotBipartiteError on an odd cycle
     q = g.q
     lex = order.kind != "degrevlex"
-    ranked = g.edges[::-1] if lex else g.edges  # edge of rank k is ranked[k]
-    # incident[x]: (rank, neighbour) by rising rank, so the edges admitted
-    # below a root form a prefix
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for k, (u, v) in enumerate(ranked):
-        incident[u].append((k, v))
-        incident[v].append((k, u))
+    by_rank = range(q - 1, -1, -1) if lex else range(q)  # edge index of rank k
+    # incident[x]: (rank, edge index, neighbour) by rising rank, so the edges
+    # admitted below a root form a prefix
+    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    for k, i in enumerate(by_rank):
+        u, v = g.edges[i]
+        incident[u].append((k, i, v))
+        incident[v].append((k, i, u))
     kept_with: list[list[int]] = [[] for _ in range(q)]  # kept leading masks by member edge
     found: list[tuple[int, int]] = []
 
     def walk(x: int, target: int, root: int, on_path: int, lead: int, trail: int,
              leads: bool) -> None:
-        for k, w in incident[x]:
+        for k, i, w in incident[x]:
             if k >= root:
                 break
-            bit = 1 << k
             if leads:
-                grown = lead | bit
+                grown = lead | 1 << i
                 cut = False
-                for m in kept_with[k]:  # a plain loop: twice as fast as any()
+                for m in kept_with[i]:  # a plain loop: twice as fast as any()
                     if m & grown == m:
                         cut = True
                         break
@@ -141,7 +147,7 @@ def leading_cycle_binomials(g: Graph, order: MonomialOrder) -> tuple[Binomial, .
                     continue
                 nlead, ntrail = grown, trail
             else:
-                nlead, ntrail = lead, trail | bit
+                nlead, ntrail = lead, trail | 1 << i
             if w == target:
                 found.append((nlead, ntrail))
                 for j in range(q):
@@ -153,15 +159,11 @@ def leading_cycle_binomials(g: Graph, order: MonomialOrder) -> tuple[Binomial, .
     # The root sits at position 0: it trails under degrevlex and leads under
     # lex, so the odd positions lead under degrevlex and the even ones under
     # lex.  Roots by rising rank keep far fewer cycles than the reverse.
-    for root, (u, v) in enumerate(ranked):
-        lead, trail = (1 << root, 0) if lex else (0, 1 << root)
+    for root, i in enumerate(by_rank):
+        u, v = g.edges[i]
+        lead, trail = (1 << i, 0) if lex else (0, 1 << i)
         walk(v, u, root, 1 << u | 1 << v, lead, trail, not lex)
-
-    def monomial(mask: int) -> Monomial:
-        m = tuple([mask >> k & 1 for k in range(q)])
-        return m[::-1] if lex else m
-
-    return tuple(Binomial(monomial(a), monomial(b)) for a, b in found)
+    return tuple(found)
 
 
 def vertex_degree_vector(g: Graph, m: Monomial) -> tuple[int, ...]:

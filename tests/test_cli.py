@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from toricgraph import cli
-from toricgraph.atlas import VerificationReport
+from toricgraph.atlas import CACHE_ENV, VerificationReport
 
 
 def run(capsys, *argv):
@@ -143,6 +143,15 @@ class TestVerify:
         assert code == 1
         assert "guard" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_1_exit_1(self, capsys, tmp_path, jobs):
+        out_file = tmp_path / "report.json"
+        code, out, err = run(capsys, "verify", "--n", "4", "--jobs", jobs, "--out", str(out_file))
+        assert code == 1
+        assert out == ""
+        assert "--jobs: must be a positive integer" in err
+        assert not out_file.exists()
+
     def test_n8_summary_line(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "verify", "--n", "8", "--out", str(tmp_path / "r8.json")
@@ -231,6 +240,26 @@ class TestPlot:
     def test_bad_extension_exit_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "plot", "--n", "4", "--out", str(tmp_path / "x.png"))
         assert code == 1
+
+    def test_bad_extension_rejected_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setenv(CACHE_ENV, str(cache))
+        code, _, err = run(
+            capsys, "plot", "--n", "6", "--out", str(tmp_path / "x.txt"), "--source", "computed"
+        )
+        assert code == 1
+        assert "--out must end in .csv or .svg" in err
+        assert list(cache.iterdir()) == []
+        assert not (tmp_path / "x.txt").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_1_exit_1(self, capsys, tmp_path, jobs):
+        code, _, err = run(capsys, "plot", "--n", "4", "--out", str(tmp_path / "p.csv"),
+                           "--source", "computed", "--jobs", jobs)
+        assert code == 1
+        assert "--jobs" in err
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestUsage:

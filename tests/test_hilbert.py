@@ -24,10 +24,11 @@ from toricgraph.groebner import (
     MonomialIdeal,
     _mask,
     initial_ideal,
-    reduce_universal,
 )
 from toricgraph.hilbert import (
     InexactDivisionError,
+    _in_kernel,
+    _minimal,
     _poly_add,
     a_invariant,
     codegree,
@@ -42,7 +43,7 @@ from toricgraph.hilbert import (
     poly_trim,
     tuple_as_json_dict,
 )
-from toricgraph.toric import EmptyEdgeSetError, toric_generators
+from toricgraph.toric import EmptyEdgeSetError, leading_cycles
 
 
 def count_standard_monomials(gens, q, d):
@@ -171,13 +172,22 @@ def assert_matches_reference(ideal, q):
     assert poly_mul(h, _one_minus_t_power(q - dim)) == numerator
 
 
+def pipeline_ideal(g, order):
+    """The initial ideal `edge_ring_hilbert` builds: the minimal leading
+    halves of the cycles the search keeps, as exponent tuples."""
+    leads = _minimal(lead for lead, _ in leading_cycles(g, order))
+    gens = sorted((tuple(m >> i & 1 for i in range(g.q)) for m in leads), key=lambda m: (sum(m), m))
+    return MonomialIdeal(g.q, tuple(gens))
+
+
 class TestAgainstReference:
     def test_initial_ideals_up_to_8(self):
         for n in range(2, 9):
             for g in enumerate_connected_bipartite(n):
                 for order in (DEGREVLEX, LEX):
-                    gb = reduce_universal(order, toric_generators(g).generators, nvars=g.q)
-                    assert_matches_reference(initial_ideal(gb), g.q)
+                    ideal = pipeline_ideal(g, order)
+                    assert_matches_reference(ideal, g.q)
+                    assert edge_ring_hilbert(g, order).numerator == hilbert_numerator(ideal, g.q)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -190,6 +200,20 @@ class TestAgainstReference:
         q, raw = drawn
         gens = reference_minimalize(m for m in raw if sum(m) > 0)
         assert_matches_reference(MonomialIdeal(q, gens), q)
+
+
+class TestKernelCheck:
+    def test_tampered_pair_fails(self):
+        g = complete_bipartite(3, 3)
+        pairs = leading_cycles(g, DEGREVLEX)
+        lead, trail = pairs[0]
+        low = trail & -trail
+        used = lead | trail
+        outside = ~used & used + 1  # the lowest edge off the cycle
+        assert outside < 1 << g.q
+        for bad in ((lead, lead), (lead, trail ^ low), (lead, trail ^ low | outside)):
+            with pytest.raises(AssertionError, match="kernel"):
+                _in_kernel(g, pairs[1:] + (bad,))
 
 
 class TestNumerator:
