@@ -2,10 +2,16 @@
 
 This is the independent cross-check for the Hilbert-route invariants: the
 (i,j)-th Betti number is the degree-j homology of the Koszul complex on all
-edge variables tensored with the edge ring.  The ring is multigraded by
-vertex-degree vectors and the differential preserves the multigrading, so
-every rank splits into many small integer matrices; ranks are computed in
-exact integer arithmetic (fraction-free elimination), never floating point.
+edge variables tensored with the edge ring K[G].  K[G] is the semigroup ring
+of the edge degree vectors, so its degree-d piece has one basis element per
+vertex-degree vector of a d-edge multiset (the layer S_d), and multiplying by
+an edge variable adds that edge's degree vector: no Groebner basis and no
+normal form is needed.  The differential preserves the multigrading by
+vertex-degree vectors; in multidegree md the complex is that of the
+squarefree divisor complex {T : md - deg T in the semigroup} (Miller and
+Sturmfels, *Combinatorial Commutative Algebra*, 2005, section 9.1), so every
+rank splits into many small integer matrices.  Ranks are computed in exact
+integer arithmetic (fraction-free elimination), never floating point.
 """
 
 from __future__ import annotations
@@ -14,10 +20,11 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .graphs import Graph, SizeGuardExceededError
-from .groebner import ReducedGB, _divides, _mask, _nf_monomial
-from .hilbert import IntPoly, edge_ring_gb, poly_trim
-from .toric import Monomial, vertex_degree_vector
+from .graphs import Graph, SizeGuardExceededError, bipartition
+from .groebner import ReducedGB, _divides, _mask
+from .hilbert import IntPoly, poly_trim
+from .hilbert import edge_ring_gb  # noqa: F401  perfbench/spans.py rebinds betti.edge_ring_gb
+from .toric import EmptyEdgeSetError, Monomial
 
 _SIZE_GUARD = 2_000_000
 
@@ -50,95 +57,91 @@ def standard_monomials(gb: ReducedGB, d: int) -> tuple[Monomial, ...]:
 
 
 class _KoszulContext:
-    """Per-graph tables shared by the cells of one `betti_table` call: normal
-    forms, standard monomial bases, multidegrees, and differential ranks."""
+    """Per-graph tables shared by the cells of one `betti_table` call: the
+    semigroup layers, the Koszul bases keyed by multidegree, and the
+    differential ranks, for internal degrees up to j_max."""
 
-    def __init__(self, g: Graph):
-        self.graph = g
-        self.gb = edge_ring_gb(g)
-        self._lms = list(self.gb.leading_monomials)
-        self._tails = [b.minus for b in self.gb.elements]
-        self._masks = [_mask(m) for m in self._lms]
-        self._std: dict[int, tuple[Monomial, ...]] = {}
-        self._mult: dict[tuple[int, Monomial], Monomial] = {}
-        self._vdeg: dict[Monomial, tuple[int, ...]] = {}
-        self._inc = [vertex_degree_vector(g, tuple(1 if k == e else 0 for k in range(g.q)))
-                     for e in range(g.q)]
-        self._layers: dict[tuple[int, int], dict] = {}
+    def __init__(self, g: Graph, j_max: int):
+        if g.q == 0:
+            raise EmptyEdgeSetError("graph has no edges")
+        bipartition(g)  # raises NotBipartiteError on an odd cycle
+        self.q = g.q
+        self.j_max = j_max
+        # vertex-degree vectors packed into one int, a field of w bits per
+        # vertex; an entry in internal degree j is at most j <= j_max < 2**w,
+        # so sums never carry and packed ints are equal iff the vectors are
+        w = max(j_max, 1).bit_length()
+        self._deg = [1 << w * u | 1 << w * v for u, v in g.edges]
+        self._semigroup: list[list[int]] = [[0]]
+        self._layers: dict[tuple[int, int], dict[int, list[int]]] = {}
         self._ranks: dict[tuple[int, int], int] = {}
 
-    def std(self, d: int) -> tuple[Monomial, ...]:
+    def semigroup(self, d: int) -> list[int]:
+        """S_d, the packed vertex-degree vectors of the d-edge multisets: the
+        degree-d piece of the edge ring has the monomials over S_d as basis."""
         if d < 0:
-            return ()
-        if d not in self._std:
-            self._std[d] = standard_monomials(self.gb, d)
-        return self._std[d]
+            return []
+        assert d <= self.j_max, f"degree {d} exceeds the field width (j_max={self.j_max})"
+        layers = self._semigroup
+        while len(layers) <= d:
+            layers.append(sorted({s + e for s in layers[-1] for e in self._deg}))
+        return layers[d]
 
-    def mult(self, var: int, m: Monomial) -> Monomial:
-        key = (var, m)
-        got = self._mult.get(key)
-        if got is None:
-            shifted = m[:var] + (m[var] + 1,) + m[var + 1:]
-            got = _nf_monomial(shifted, self._lms, self._tails, self._masks)
-            self._mult[key] = got
-        return got
-
-    def vdeg(self, m: Monomial) -> tuple[int, ...]:
-        got = self._vdeg.get(m)
-        if got is None:
-            got = vertex_degree_vector(self.graph, m)
-            self._vdeg[m] = got
-        return got
-
-    def layer(self, i: int, j: int) -> dict:
+    def layer(self, i: int, j: int) -> dict[int, list[int]]:
         """Basis of homological degree i, internal degree j, keyed by
-        multidegree; values are lists of (edge-subset, standard monomial)."""
+        multidegree deg T + s; an element (T, s), T an i-subset of the edges
+        as a mask and s in S_{j-i}, is packed as s << q | T."""
         key = (i, j)
         if key in self._layers:
             return self._layers[key]
-        q = self.graph.q
-        blocks: dict[tuple[int, ...], list] = {}
-        if 0 <= i <= q and j - i >= 0:
+        q = self.q
+        blocks: dict[int, list[int]] = {}
+        if 0 <= i <= q:
+            elems = self.semigroup(j - i)
             for t_set in combinations(range(q), i):
-                base = [0] * self.graph.n
-                for t in t_set:
-                    inc = self._inc[t]
-                    for v in range(self.graph.n):
-                        base[v] += inc[v]
-                for m in self.std(j - i):
-                    vd = self.vdeg(m)
-                    md = tuple(base[v] + vd[v] for v in range(self.graph.n))
-                    blocks.setdefault(md, []).append((t_set, m))
+                mask = sum(1 << t for t in t_set)
+                base = sum(self._deg[t] for t in t_set)
+                for s in elems:
+                    blocks.setdefault(base + s, []).append(s << q | mask)
         self._layers[key] = blocks
         return blocks
 
     def rank(self, i: int, j: int) -> int:
-        """Exact rank of the Koszul differential out of (i, j)."""
+        """Exact rank of the Koszul differential out of (i, j), which sends
+        (T, s) to the alternating sum of (T - t, s + deg t) over t in T."""
         key = (i, j)
         if key in self._ranks:
             return self._ranks[key]
-        q = self.graph.q
+        q = self.q
+        low = (1 << q) - 1
         total = 0
         if 1 <= i <= q and j - i >= 0:
-            dom = self.layer(i, j)
+            # dropping the k-th smallest t of T from (T, s) adds
+            # (deg t << q) - 2**t to the packed element, with sign (-1)**k
+            faces = {sum(1 << t for t in t_set): [((self._deg[t] << q) - (1 << t), (-1) ** k)
+                                                  for k, t in enumerate(t_set)]
+                     for t_set in combinations(range(q), i)}
             cod = self.layer(i - 1, j)
-            for md, delems in dom.items():
+            for md, delems in self.layer(i, j).items():
                 celems = cod.get(md)
                 assert celems, "differential image left its multidegree block"
+                if len(delems) == 1 or len(celems) == 1:
+                    # every column holds i >= 1 entries +-1, so the block is nonzero
+                    total += 1
+                    continue
                 index = {elem: r for r, elem in enumerate(celems)}
-                mat = [[0] * len(delems) for _ in range(len(celems))]
-                for c, (t_set, m) in enumerate(delems):
-                    for k, t in enumerate(t_set):
-                        target = (t_set[:k] + t_set[k + 1:], self.mult(t, m))
-                        mat[index[target]][c] = -1 if k % 2 else 1
+                mat = [[0] * len(delems) for _ in celems]
+                for c, elem in enumerate(delems):
+                    for step, sign in faces[elem & low]:
+                        mat[index[elem + step]][c] = sign
                 total += _int_rank(mat)
         self._ranks[key] = total
         return total
 
     def homology_dim(self, i: int, j: int) -> int:
         """beta_{i,j}: cell dimension minus the ranks in and out of it."""
-        q = self.graph.q
-        dim = 0 if i > q or j - i < 0 else comb(q, i) * len(self.std(j - i))
+        q = self.q
+        dim = 0 if i > q or j - i < 0 else comb(q, i) * len(self.semigroup(j - i))
         return dim - self.rank(i, j) - self.rank(i + 1, j)
 
 
@@ -156,12 +159,14 @@ def _int_rank(mat: list[list[int]]) -> int:
             mat[r], mat[pivot] = mat[pivot], mat[r]
         head = mat[r]
         hc = head[c]
+        # whole rows: left of column c both rows are already zero
         for rr in range(r + 1, m):
             row = mat[rr]
             rc = row[c]
-            for cc in range(c + 1, n):
-                row[cc] = (row[cc] * hc - rc * head[cc]) // prev
-            row[c] = 0
+            if rc:
+                mat[rr] = [(x * hc - rc * y) // prev for x, y in zip(row, head)]
+            elif hc != prev:
+                mat[rr] = [x * hc // prev for x in row]
         prev = hc
         r += 1
         if r == m:
@@ -189,7 +194,7 @@ def koszul_homology_dim(g: Graph, i: int, j: int) -> int:
     if i < 0 or j < 0:
         raise ValueError(f"need i, j >= 0, got ({i}, {j})")
     _guard(g.q, i, j)
-    return _KoszulContext(g).homology_dim(i, j)
+    return _KoszulContext(g, j).homology_dim(i, j)
 
 
 def betti_table(g: Graph, reg: int, pdim: int) -> BettiTable:
@@ -197,7 +202,7 @@ def betti_table(g: Graph, reg: int, pdim: int) -> BettiTable:
     guard column, which are verified to vanish (valid for Cohen-Macaulay
     quotients, where beta_{i,j} = 0 whenever j > i + reg)."""
     entries: dict[tuple[int, int], int] = {}
-    ctx = _KoszulContext(g)
+    ctx = _KoszulContext(g, pdim + reg + 2)
     for i in range(pdim + 2):
         for d in range(reg + 2):
             _guard(g.q, i, i + d)

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricgraph import betti, groebner, hilbert, toric
 from toricgraph.atlas import enumerate_connected_bipartite
 from toricgraph.betti import (
     _int_rank,
+    _KoszulContext,
     betti_table,
     betti_to_json_dict,
     euler_numerator,
@@ -16,13 +20,17 @@ from toricgraph.betti import (
     standard_monomials,
 )
 from toricgraph.graphs import (
+    Graph,
+    NotBipartiteError,
     SizeGuardExceededError,
     complete_bipartite,
     cycle_graph,
     path_graph,
     star,
 )
+from toricgraph.groebner import _mask, _nf_monomial
 from toricgraph.hilbert import edge_ring_gb, edge_ring_hilbert, invariant_tuple
+from toricgraph.toric import EmptyEdgeSetError, vertex_degree_vector
 
 
 def fraction_rank(rows):
@@ -44,6 +52,107 @@ def fraction_rank(rows):
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def elementwise_bareiss_rank(mat):
+    """Rank by fraction-free elimination, one entry at a time: the rank code
+    the Groebner route was first checked with, kept apart from `_int_rank`."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    r = 0
+    prev = 1
+    for c in range(n):
+        pivot = next((rr for rr in range(r, m) if mat[rr][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        head = mat[r]
+        hc = head[c]
+        for rr in range(r + 1, m):
+            row = mat[rr]
+            rc = row[c]
+            for cc in range(c + 1, n):
+                row[cc] = (row[cc] * hc - rc * head[cc]) // prev
+            row[c] = 0
+        prev = hc
+        r += 1
+    return r
+
+
+class ReferenceKoszul:
+    """The Groebner route to the same Koszul complex: the degree-d piece of
+    the edge ring has the standard monomials of the reduced degrevlex basis
+    as basis, x_t times a standard monomial is its normal form, blocks are
+    keyed by vertex-degree vectors, and no block skips elimination."""
+
+    def __init__(self, g):
+        self.graph = g
+        self.gb = edge_ring_gb(g)
+        self.lms = list(self.gb.leading_monomials)
+        self.tails = [b.minus for b in self.gb.elements]
+        self.masks = [_mask(m) for m in self.lms]
+        self.std = {}
+        self.products = {}
+        self.layers = {}
+        self.ranks = {}
+
+    def basis(self, d):
+        if d < 0:
+            return ()
+        if d not in self.std:
+            self.std[d] = standard_monomials(self.gb, d)
+        return self.std[d]
+
+    def mult(self, t, m):
+        if (t, m) not in self.products:
+            shifted = m[:t] + (m[t] + 1,) + m[t + 1:]
+            self.products[(t, m)] = _nf_monomial(shifted, self.lms, self.tails, self.masks)
+        return self.products[(t, m)]
+
+    def layer(self, i, j):
+        g = self.graph
+        if (i, j) in self.layers:
+            return self.layers[(i, j)]
+        blocks = self.layers[(i, j)] = {}
+        if 0 <= i <= g.q:
+            for t_set in combinations(range(g.q), i):
+                for m in self.basis(j - i):
+                    full = list(m)
+                    for t in t_set:
+                        full[t] += 1
+                    blocks.setdefault(vertex_degree_vector(g, full), []).append((t_set, m))
+        return blocks
+
+    def rank(self, i, j):
+        if (i, j) not in self.ranks:
+            total = 0
+            if 1 <= i <= self.graph.q:
+                cod = self.layer(i - 1, j)
+                for md, delems in self.layer(i, j).items():
+                    index = {elem: r for r, elem in enumerate(cod[md])}
+                    mat = [[0] * len(delems) for _ in index]
+                    for c, (t_set, m) in enumerate(delems):
+                        for k, t in enumerate(t_set):
+                            target = (t_set[:k] + t_set[k + 1:], self.mult(t, m))
+                            mat[index[target]][c] = -1 if k % 2 else 1
+                    total += elementwise_bareiss_rank(mat)
+            self.ranks[(i, j)] = total
+        return self.ranks[(i, j)]
+
+    def homology_dim(self, i, j):
+        dim = comb(self.graph.q, i) * len(self.basis(j - i)) if i <= self.graph.q else 0
+        return dim - self.rank(i, j) - self.rank(i + 1, j)
+
+
+def reference_betti_entries(g, reg, pdim):
+    ref = ReferenceKoszul(g)
+    entries = {}
+    for i in range(pdim + 2):
+        for d in range(reg + 2):
+            b = ref.homology_dim(i, i + d)
+            if b:
+                entries[(i, i + d)] = b
+    return entries
 
 
 class TestIntRank:
@@ -80,6 +189,31 @@ class TestStandardMonomials:
         assert len(standard_monomials(gb, 1)) == 4
 
 
+class TestSemigroupLayers:
+    """S_d, the semigroup layer, against the Hilbert function of the
+    Groebner route: the standard monomials of degree d."""
+
+    def test_every_class_up_to_7(self):
+        graphs = [g for n in range(2, 8) for g in enumerate_connected_bipartite(n)]
+        assert len(graphs) == 71
+        for g in graphs:
+            ctx = _KoszulContext(g, 4)
+            gb = edge_ring_gb(g)
+            for d in range(5):
+                assert len(ctx.semigroup(d)) == len(standard_monomials(gb, d)), (g.edges, d)
+
+    @pytest.mark.parametrize("g", [cycle_graph(4), complete_bipartite(2, 3)], ids=["C4", "K23"])
+    def test_high_degree(self, g):
+        # vertex-degree entries reach 20, past any field width taken from q
+        ctx = _KoszulContext(g, 20)
+        gb = edge_ring_gb(g)
+        for d in range(21):
+            assert len(ctx.semigroup(d)) == len(standard_monomials(gb, d)), d
+
+    def test_high_degree_homology(self):
+        assert koszul_homology_dim(cycle_graph(4), 1, 18) == 0
+
+
 class TestKoszulHomology:
     def test_c6_first_syzygies(self):
         g = cycle_graph(6)
@@ -107,6 +241,16 @@ class TestKoszulHomology:
     def test_size_guard(self):
         with pytest.raises(SizeGuardExceededError):
             koszul_homology_dim(complete_bipartite(4, 4), 8, 11)
+
+    @pytest.mark.parametrize("cell", [
+        lambda g: koszul_homology_dim(g, 1, 2),
+        lambda g: betti_table(g, 1, 1),
+    ], ids=["koszul_homology_dim", "betti_table"])
+    def test_domain_errors(self, cell):
+        with pytest.raises(NotBipartiteError, match="not bipartite: odd cycle"):
+            cell(cycle_graph(5))
+        with pytest.raises(EmptyEdgeSetError, match="graph has no edges"):
+            cell(Graph(3, ()))
 
 
 class TestBettiTable:
@@ -136,6 +280,26 @@ class TestBettiTable:
     def test_json(self):
         d = betti_to_json_dict(betti_table(cycle_graph(6), 2, 1))
         assert d == {"entries": [[0, 0, 1], [1, 3, 1]], "i_max": 1, "j_max": 3}
+
+
+class TestAgainstGroebnerRoute:
+    def test_every_class_up_to_8(self):
+        graphs = [g for n in range(2, 9) for g in enumerate_connected_bipartite(n) if g.q <= 8]
+        assert len(graphs) == 115
+        for g in graphs:
+            t = invariant_tuple(g)
+            assert betti_table(g, t.reg, t.pdim).entries == reference_betti_entries(g, t.reg, t.pdim), g.edges
+
+    def test_no_groebner_basis(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Betti oracle took the Groebner route")
+
+        for module, name in [(betti, "edge_ring_gb"), (betti, "standard_monomials"),
+                             (hilbert, "buchberger"), (groebner, "buchberger"),
+                             (groebner, "_nf_monomial"), (toric, "vertex_degree_vector")]:
+            monkeypatch.setattr(module, name, refuse)
+        assert betti_table(cycle_graph(6), 2, 1).entries == {(0, 0): 1, (1, 3): 1}
+        assert koszul_homology_dim(complete_bipartite(2, 3), 2, 3) == 2
 
 
 class TestOracleAgreement:
