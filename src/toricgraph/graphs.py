@@ -4,7 +4,7 @@ Plain immutable graphs with a fixed edge order (the edge order fixes the
 polynomial variable order downstream, so every constructor here is
 deterministic), plus cycle enumeration, matchings, the witness-graph
 constructions used to realize prescribed invariants, and a canonical form
-for isomorphism rejection.
+of connected bipartite graphs for isomorphism rejection.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 
 
 class GraphFormatError(ValueError):
@@ -436,35 +437,6 @@ def _wl_colors(neighbors, colors: list[int]) -> list[int]:
         k = k2
 
 
-def _class_arrangements(members: list[int], adj_sets) -> list[tuple[int, ...]]:
-    # vertices with identical neighborhoods are interchangeable (they are
-    # never adjacent to each other), so only the arrangement of distinct
-    # neighborhood groups matters: k!/(m_1!...m_g!) orders instead of k!
-    groups: dict[frozenset, list[int]] = {}
-    for v in members:
-        groups.setdefault(adj_sets[v], []).append(v)
-    queues = list(groups.values())
-    k = len(members)
-    out: list[tuple[int, ...]] = []
-    taken = [0] * len(queues)
-    prefix: list[int] = []
-
-    def rec() -> None:
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
-        for qi, queue in enumerate(queues):
-            if taken[qi] < len(queue):
-                prefix.append(queue[taken[qi]])
-                taken[qi] += 1
-                rec()
-                taken[qi] -= 1
-                prefix.pop()
-
-    rec()
-    return out
-
-
 def _color_classes(colors: list[int]) -> list[list[int]]:
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
@@ -472,44 +444,47 @@ def _color_classes(colors: list[int]) -> list[list[int]]:
     return [classes[c] for c in sorted(classes)]
 
 
-def _class_orders(classes: list[list[int]], adj_sets):
+def _interleavings(queues: tuple[tuple[int, ...], ...]):
+    """Every sequence that merges the queues and keeps each queue's order."""
+    if not any(queues):
+        yield ()
+        return
+    for i, queue in enumerate(queues):
+        if queue:
+            rest = queues[:i] + (queue[1:],) + queues[i + 1:]
+            for tail in _interleavings(rest):
+                yield (queue[0],) + tail
+
+
+def _class_orders(classes: list[list[int]], neighbors):
     """Every concatenation of one arrangement per class, classes in the given
     order; raises before the first one if there would be more than
     _PERM_GUARD of them."""
+    # vertices with identical neighborhoods are interchangeable (they are
+    # never adjacent to each other), so only the arrangement of distinct
+    # neighborhood groups matters: k!/(m_1!...m_g!) orders instead of k!
     per_class = []
     total = 1
     for members in classes:
-        twins: dict[frozenset, int] = {}
+        twins: dict[tuple[int, ...], list[int]] = {}
         for v in members:
-            twins[adj_sets[v]] = twins.get(adj_sets[v], 0) + 1
-        count = 1
-        for k in range(2, len(members) + 1):
-            count *= k
-        for m in twins.values():
-            for k in range(2, m + 1):
-                count //= k
-        total *= count
+            twins.setdefault(neighbors[v], []).append(v)
+        total *= factorial(len(members))
+        for queue in twins.values():
+            total //= factorial(len(queue))
         if total > _PERM_GUARD:
             raise SizeGuardExceededError(
                 f"canonical form would scan more than {_PERM_GUARD} orderings"
             )
-        per_class.append(_class_arrangements(members, adj_sets))
+        per_class.append(_interleavings(tuple(map(tuple, twins.values()))))
     for parts in itertools.product(*per_class):
-        order = []
-        for part in parts:
-            order.extend(part)
-        yield order
-
-
-def _pack(kind: int, n: int, a: int, num: int, nbits: int) -> bytes:
-    return bytes([kind, n, a]) + num.to_bytes((nbits + 7) // 8 or 1, "big")
+        yield [v for part in parts for v in part]
 
 
 def _bipartite_code(g: Graph, rows: tuple[int, ...], cols: tuple[int, ...]) -> bytes:
     # The code is the row-major biadjacency bit string.  For a fixed column
     # order it is smallest when each refinement class of rows is sorted by
     # its bit pattern, so only the column orders are scanned.
-    adj = [frozenset(g.neighbors[v]) for v in range(g.n)]
     row_set = set(rows)
     colors = _wl_colors(g.neighbors, [0 if v in row_set else 1 for v in range(g.n)])
     classes = _color_classes(colors)
@@ -521,52 +496,33 @@ def _bipartite_code(g: Graph, rows: tuple[int, ...], cols: tuple[int, ...]) -> b
         weight = {w: 1 << (b - 1 - k) for k, w in enumerate(col_order)}
         num = 0
         for members in row_classes:
-            for pattern in sorted(sum(weight[w] for w in adj[u]) for u in members):
+            for pattern in sorted(sum(weight[w] for w in g.neighbors[u]) for u in members):
                 num = (num << b) | pattern
         return num
 
-    best = min(map(row_major, _class_orders(col_classes, adj)))
-    return _pack(1, g.n, len(rows), best, len(rows) * b)
-
-
-def _general_code(g: Graph) -> bytes:
-    adj = [frozenset(g.neighbors[v]) for v in range(g.n)]
-    colors = _wl_colors(g.neighbors, [0] * g.n)
-
-    def upper_triangle(order: list[int]) -> int:
-        num = 0
-        for i in range(g.n):
-            for j in range(i + 1, g.n):
-                num = (num << 1) | (order[j] in adj[order[i]])
-        return num
-
-    best = min(map(upper_triangle, _class_orders(_color_classes(colors), adj)))
-    return _pack(2, g.n, 0, best, g.n * (g.n - 1) // 2)
+    best = min(map(row_major, _class_orders(col_classes, g.neighbors)))
+    # header bytes 1, n, |rows|: the layout of every cached atlas code
+    return bytes([1, g.n, len(rows)]) + best.to_bytes((len(rows) * b + 7) // 8, "big")
 
 
 def canonical_form(g: Graph) -> bytes:
-    """Canonical code: equal codes iff isomorphic.
+    """Canonical code of a connected bipartite graph: equal codes iff
+    isomorphic.
 
-    Connected bipartite graphs are minimized over part-respecting orderings of
-    the row-major biadjacency matrix (both orientations when the parts have
-    equal size); anything else falls back to minimizing the upper triangle of
-    the full adjacency matrix.  Both paths order vertices class by class after
-    iterated degree refinement, and vertices with equal neighborhoods count
-    once.  The bipartite path scans only the column arrangements: for a fixed
-    column order the smallest code sorts the rows of each class by their bit
-    pattern.  _PERM_GUARD bounds the orderings actually scanned (column
-    orders here, whole vertex orders on the fallback) and raises
-    SizeGuardExceededError beyond it; the cost cliff is for graphs with large
-    symmetric column classes, fine at desk scale (n <= 12 or so).
+    The code is the smallest row-major biadjacency matrix over part-respecting
+    orderings, in both orientations when the parts have equal size.  Vertices
+    are ordered class by class after iterated degree refinement, and vertices
+    with equal neighborhoods count once.  Only the column arrangements are
+    scanned: for a fixed column order the smallest code sorts the rows of
+    each class by their bit pattern.  _PERM_GUARD bounds the column orders
+    and raises SizeGuardExceededError beyond it; the cost cliff is for graphs
+    with large symmetric column classes, fine at desk scale (n <= 12 or so).
+    Raises NotBipartiteError on an odd cycle and DisconnectedError on a
+    disconnected graph.
     """
-    if g.n == 1:
-        return bytes([2, 1, 0])
-    try:
-        parts = bipartition(g)
-    except NotBipartiteError:
-        return _general_code(g)
+    parts = bipartition(g)
     if not is_connected(g):
-        return _general_code(g)
+        raise DisconnectedError("canonical forms are computed for connected graphs only")
     a, b = parts.part_a, parts.part_b
     if len(a) < len(b):
         return _bipartite_code(g, a, b)

@@ -284,7 +284,6 @@ def invariant_tuple(g: Graph, data: HilbertData | None = None) -> InvariantTuple
     deg_h = len(data.h_poly) - 1
     pdim = g.q - dim
     assert pdim == g.q - g.n + 1
-    assert 0 <= deg_h < g.n // 2, f"regularity bound violated: {deg_h} vs n={g.n}"
     return InvariantTuple(deg_h, deg_h, pdim, dim, dim)
 
 

@@ -31,7 +31,7 @@ from toricgraph.graphs import (
     path_graph,
     star,
 )
-from toricgraph.hilbert import invariant_tuple
+from toricgraph.hilbert import HilbertData, invariant_tuple, poly_mul
 
 KNOWN_CLASS_COUNTS = {2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44}
 
@@ -248,10 +248,11 @@ class TestVerify:
         assert report.counterexamples == ()
         assert report.property_passes["betti_oracle_agrees"] > 0
 
-    def test_betti_check_reads_the_stored_record(self, tmp_path):
-        import toricgraph.atlas as atlas_mod
-
-        rows = atlas_mod.sweep(6, directory=str(tmp_path))
+    @staticmethod
+    def _tamper_c6(tmp_path, **fields):
+        """Sweep n=6 into tmp_path, overwrite fields of the stored C_6
+        record, and return the C_6 code and its enumerated graph."""
+        rows = sweep(6, directory=str(tmp_path))
         c6 = canonical_form(cycle_graph(6)).hex()
         (g,) = [g for g, rec in rows if rec.code == c6]
         path = tmp_path / "atlas-n6.jsonl"
@@ -260,13 +261,46 @@ class TestVerify:
             d = json.loads(line)
             if d["code"] == c6:
                 assert d["h"] == d["h_lex"] == [1, 1, 1]
-                d["h"] = d["h_lex"] = [1, 2, 1]
+                d.update(fields)
             lines.append(json.dumps(d))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return c6, g
+
+    def test_betti_check_reads_the_stored_record(self, tmp_path):
+        c6, g = self._tamper_c6(tmp_path, h=[1, 2, 1], h_lex=[1, 2, 1])
         report = verify(6, with_betti_oracle=True, directory=str(tmp_path))
         assert report.counterexamples == (
             f"betti_euler_matches_numerator: n=6 code={c6} edges={g.edges}",
         )
+
+    def test_betti_table_outside_the_record_bounds_reaches_the_report(self, tmp_path):
+        # the true C_6 table has beta_{1,3} = 1, outside reg = 1
+        c6, g = self._tamper_c6(tmp_path, reg=1, deg_h=1, h=[1, 1], h_lex=[1, 1])
+        report = verify(6, with_betti_oracle=True, directory=str(tmp_path))
+        assert report.counterexamples == (
+            f"betti_oracle_agrees: n=6 code={c6} edges={g.edges}",
+            "pair sets differ: missing=[(2, 1)] extra=[]",
+            "pair count 7 != formula 8",
+        )
+
+    def test_regularity_bound_violation_reaches_the_report(self, monkeypatch):
+        import toricgraph.atlas as atlas_mod
+
+        real = atlas_mod.edge_ring_hilbert
+        (c6,) = [g for g in enumerate_connected_bipartite(6)
+                 if canonical_form(g) == canonical_form(cycle_graph(6))]
+
+        def tampered(g, order):
+            data = real(g, order)
+            if g != c6:
+                return data
+            h = (1, 1, 1, 1)  # deg h = 3, not below n // 2
+            return HilbertData(poly_mul(h, (1, -1)), data.krull_dim, h)
+
+        monkeypatch.setattr(atlas_mod, "edge_ring_hilbert", tampered)
+        report = verify(6, use_cache=False)
+        code = canonical_form(c6).hex()
+        assert f"reg_below_half_n: n=6 code={code} edges={c6.edges}" in report.counterexamples
 
     def test_counterexample_names_the_canonical_code(self, monkeypatch):
         import toricgraph.atlas as atlas_mod

@@ -3,14 +3,17 @@ import random
 from math import comb, factorial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toricgraph.graphs as graphs_mod
 from toricgraph.atlas import _doubly_sorted
 from toricgraph.graphs import (
+    DisconnectedError,
     Graph,
     GraphFormatError,
     NotBipartiteError,
+    SizeGuardExceededError,
     _wl_colors,
     bipartition,
     canonical_form,
@@ -37,6 +40,23 @@ def bipartite_graphs(draw, max_a=3, max_b=4):
     a = draw(st.integers(1, max_a))
     b = draw(st.integers(1, max_b))
     mask = draw(st.integers(1, 2 ** (a * b) - 1))
+    edges = tuple(
+        (i, a + j) for i in range(a) for j in range(b) if (mask >> (i * b + j)) & 1
+    )
+    return Graph(a + b, edges)
+
+
+@st.composite
+def connected_bipartite_graphs(draw, max_a=5, max_b=5):
+    # a monotone staircase of cells from (0, 0) to (a-1, b-1) meets every
+    # row and every column, so it is a spanning tree of K_{a,b}
+    a = draw(st.integers(1, max_a))
+    b = draw(st.integers(1, max_b))
+    mask = draw(st.integers(0, 2 ** (a * b) - 1)) | 1
+    row = col = 0
+    for down in draw(st.permutations([True] * (a - 1) + [False] * (b - 1))):
+        row, col = (row + 1, col) if down else (row, col + 1)
+        mask |= 1 << (row * b + col)
     edges = tuple(
         (i, a + j) for i in range(a) for j in range(b) if (mask >> (i * b + j)) & 1
     )
@@ -421,22 +441,18 @@ class TestCanonicalForm:
             codes.add(canonical_form(Graph(5, edges)))
         assert len(codes) == 1
 
-    def test_fallback_paths(self):
-        # non-bipartite and disconnected graphs take the all-permutation path
-        tri = cycle_graph(3)
-        relabeled = Graph(3, ((1, 2), (0, 2), (0, 1)))
-        assert canonical_form(tri) == canonical_form(relabeled)
-        d1 = Graph(4, ((0, 1), (2, 3)))
-        d2 = Graph(4, ((0, 2), (1, 3)))
-        assert canonical_form(d1) == canonical_form(d2)
-        assert canonical_form(d1) != canonical_form(path_graph(4))
+    def test_odd_cycle_raises(self):
+        with pytest.raises(NotBipartiteError):
+            canonical_form(cycle_graph(5))
+
+    def test_disconnected_raises(self):
+        with pytest.raises(DisconnectedError):
+            canonical_form(Graph(4, ((0, 1), (2, 3))))
 
     @settings(max_examples=40, deadline=None)
-    @given(bipartite_graphs(max_a=5, max_b=5), st.randoms())
+    @given(connected_bipartite_graphs(), st.randoms())
     def test_relabeling_invariance(self, g, rng):
-        # a large disconnected graph takes the fallback scan over whole vertex
-        # orders, which can exceed _PERM_GUARD (five disjoint edges: 10!)
-        assume(g.n <= 6 or is_connected(g))
+        assert is_connected(g)
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert canonical_form(relabel(g, perm)) == canonical_form(g)
@@ -462,6 +478,29 @@ class TestCanonicalForm:
             random.Random(seed).shuffle(perm)
             assert canonical_form(relabel(g, perm)) == code
         assert code != canonical_form(path_graph(12))
+
+    @pytest.mark.parametrize("m", [14, 16])
+    def test_even_cycles_up_to_the_guard(self, m):
+        # (m/2)! column orders: 5,040 and 40,320, inside _PERM_GUARD
+        g = cycle_graph(m)
+        perm = list(range(m))
+        random.Random(m).shuffle(perm)
+        assert canonical_form(relabel(g, perm)) == canonical_form(g)
+
+    def test_c18_exceeds_the_guard_before_scanning(self, monkeypatch):
+        # 9! = 362,880 column orders > _PERM_GUARD; no arrangement is built
+        assert factorial(9) > graphs_mod._PERM_GUARD >= factorial(8)
+        started = []
+        real = graphs_mod._interleavings
+
+        def spy(queues):
+            started.append(queues)
+            yield from real(queues)
+
+        monkeypatch.setattr(graphs_mod, "_interleavings", spy)
+        with pytest.raises(SizeGuardExceededError):
+            canonical_form(cycle_graph(18))
+        assert started == []
 
     def test_large_twin_classes_stay_cheap(self):
         # 9 leaves of star(10) share one neighborhood: one arrangement, not 9!
