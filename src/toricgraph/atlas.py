@@ -231,7 +231,20 @@ def record_to_json_dict(rec: AtlasRecord) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _record_from_json_dict(d: dict) -> AtlasRecord:
+    # a wrongly typed field raises ValueError, so cache_load skips the line
+    # and the class is analyzed again
+    if not (
+        isinstance(d["code"], str)
+        and all(_is_int(d[k]) for k in ("n", "q", "reg", "deg_h", "pdim", "depth", "dim", "mat"))
+        and all(isinstance(d[k], list) and all(map(_is_int, d[k])) for k in ("h", "h_lex"))
+        and isinstance(d["seconds"], (int, float)) and not isinstance(d["seconds"], bool)
+    ):
+        raise ValueError("cache record field of the wrong type")
     return AtlasRecord(
         code=d["code"],
         n=d["n"],

@@ -13,7 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import factorial, prod
 
 
 class GraphFormatError(ValueError):
@@ -444,65 +444,44 @@ def _color_classes(colors: list[int]) -> list[list[int]]:
     return [classes[c] for c in sorted(classes)]
 
 
-def _interleavings(queues: tuple[tuple[int, ...], ...]):
-    """Every sequence that merges the queues and keeps each queue's order."""
-    if not any(queues):
-        yield ()
-        return
-    for i, queue in enumerate(queues):
-        if queue:
-            rest = queues[:i] + (queue[1:],) + queues[i + 1:]
-            for tail in _interleavings(rest):
-                yield (queue[0],) + tail
-
-
-def _class_orders(classes: list[list[int]], neighbors):
-    """Every concatenation of one arrangement per class, classes in the given
+def _class_orders(classes: list[list[int]]):
+    """Every concatenation of one permutation per class, classes in the given
     order; raises before the first one if there would be more than
     _PERM_GUARD of them."""
-    # vertices with identical neighborhoods are interchangeable (they are
-    # never adjacent to each other), so only the arrangement of distinct
-    # neighborhood groups matters: k!/(m_1!...m_g!) orders instead of k!
-    per_class = []
-    total = 1
-    for members in classes:
-        twins: dict[tuple[int, ...], list[int]] = {}
-        for v in members:
-            twins.setdefault(neighbors[v], []).append(v)
-        total *= factorial(len(members))
-        for queue in twins.values():
-            total //= factorial(len(queue))
-        if total > _PERM_GUARD:
-            raise SizeGuardExceededError(
-                f"canonical form would scan more than {_PERM_GUARD} orderings"
-            )
-        per_class.append(_interleavings(tuple(map(tuple, twins.values()))))
-    for parts in itertools.product(*per_class):
+    if prod(factorial(len(members)) for members in classes) > _PERM_GUARD:
+        raise SizeGuardExceededError(
+            f"canonical form would scan more than {_PERM_GUARD} orderings"
+        )
+    for parts in itertools.product(*map(itertools.permutations, classes)):
         yield [v for part in parts for v in part]
 
 
 def _bipartite_code(g: Graph, rows: tuple[int, ...], cols: tuple[int, ...]) -> bytes:
-    # The code is the row-major biadjacency bit string.  For a fixed column
-    # order it is smallest when each refinement class of rows is sorted by
-    # its bit pattern, so only the column orders are scanned.
+    # The code is the row-major biadjacency bit string.  For a fixed row
+    # order it is smallest when each refinement class of columns is sorted by
+    # its column vector, first row most significant, so only the row orders
+    # are scanned.
     row_set = set(rows)
     colors = _wl_colors(g.neighbors, [0 if v in row_set else 1 for v in range(g.n)])
     classes = _color_classes(colors)
     row_classes = [m for m in classes if m[0] in row_set]
     col_classes = [m for m in classes if m[0] not in row_set]
-    b = len(cols)
+    a, b = len(rows), len(cols)
 
-    def row_major(col_order: list[int]) -> int:
+    def row_major(row_order: list[int]) -> int:
+        row_weight = {u: 1 << (a - 1 - k) for k, u in enumerate(row_order)}
+        column = {w: sum(row_weight[u] for u in g.neighbors[w]) for w in cols}
+        col_order = [w for members in col_classes
+                     for w in sorted(members, key=column.__getitem__)]
         weight = {w: 1 << (b - 1 - k) for k, w in enumerate(col_order)}
         num = 0
-        for members in row_classes:
-            for pattern in sorted(sum(weight[w] for w in g.neighbors[u]) for u in members):
-                num = (num << b) | pattern
+        for u in row_order:
+            num = (num << b) | sum(weight[w] for w in g.neighbors[u])
         return num
 
-    best = min(map(row_major, _class_orders(col_classes, g.neighbors)))
+    best = min(map(row_major, _class_orders(row_classes)))
     # header bytes 1, n, |rows|: the layout of every cached atlas code
-    return bytes([1, g.n, len(rows)]) + best.to_bytes((len(rows) * b + 7) // 8, "big")
+    return bytes([1, g.n, a]) + best.to_bytes((a * b + 7) // 8, "big")
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -510,13 +489,14 @@ def canonical_form(g: Graph) -> bytes:
     isomorphic.
 
     The code is the smallest row-major biadjacency matrix over part-respecting
-    orderings, in both orientations when the parts have equal size.  Vertices
-    are ordered class by class after iterated degree refinement, and vertices
-    with equal neighborhoods count once.  Only the column arrangements are
-    scanned: for a fixed column order the smallest code sorts the rows of
-    each class by their bit pattern.  _PERM_GUARD bounds the column orders
-    and raises SizeGuardExceededError beyond it; the cost cliff is for graphs
-    with large symmetric column classes, fine at desk scale (n <= 12 or so).
+    orderings, in both orientations when the parts have equal size; the rows
+    are the part that is not larger.  Vertices are ordered class by class
+    after iterated degree refinement.  Only the row orders are scanned: for a
+    fixed row order the smallest code sorts the columns of each class by
+    their column vector.  _PERM_GUARD bounds the product of the row classes'
+    factorials, which is at most (n // 2)!, and raises SizeGuardExceededError
+    beyond it: every graph on at most 17 vertices fits (8! <= _PERM_GUARD),
+    while K_{9,9} and C_18 (9! row orders) do not.
     Raises NotBipartiteError on an odd cycle and DisconnectedError on a
     disconnected graph.
     """

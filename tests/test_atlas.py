@@ -6,6 +6,7 @@ import pytest
 
 from toricgraph.atlas import (
     _doubly_sorted,
+    _record_from_json_dict,
     analyze_graph,
     cache_load,
     cache_store,
@@ -40,6 +41,7 @@ KNOWN_CLASS_COUNTS = {2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44}
 ENUMERATION_DIGESTS = {
     8: "6b0ed7704fc6ffdb6c4d82667067d2d583fd6b767ddcf3a3e1615e9df921480c",
     9: "8292105089124140084ab010820afc6cc345102e94feff38e01e3fdb51aa095e",
+    10: "a4a63b1b74f5dd3cc5d378e7008b0f634f52a539278899dc8ff8736c1536635e",
 }
 
 # sha256 over the JSON cache lines of sweep(n), "seconds" dropped, in sweep
@@ -375,6 +377,34 @@ class TestCache:
         with pytest.warns(UserWarning, match="corrupted"):
             loaded = cache_load(6, str(tmp_path))
         assert loaded == {rec.code: rec}
+
+    def test_wrongly_typed_field_skipped_and_reanalyzed(self, tmp_path):
+        rows = sweep(4, directory=str(tmp_path))
+        path = tmp_path / "atlas-n4.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        d = json.loads(lines[0])
+        d["reg"] = str(d["reg"])
+        path.write_text("\n".join([json.dumps(d)] + lines[1:]) + "\n", encoding="utf-8")
+        with pytest.warns(UserWarning, match="corrupted"):
+            report = verify(4, directory=str(tmp_path))
+        assert report.equal and report.counterexamples == ()
+        # the class was analyzed again and its record appended
+        with pytest.warns(UserWarning, match="corrupted"):
+            loaded = cache_load(4, str(tmp_path))
+        assert {c: r.invariants for c, r in loaded.items()} == {
+            r.code: r.invariants for _, r in rows
+        }
+
+    @pytest.mark.parametrize("field, value", [
+        ("code", 7), ("q", True), ("mat", 1.0), ("h", "111"), ("h_lex", [1, "1"]),
+        ("seconds", "0.1"),
+    ])
+    def test_record_field_types_checked(self, field, value):
+        g = cycle_graph(6)
+        d = record_to_json_dict(analyze_graph(g, canonical_form(g)))
+        d[field] = value
+        with pytest.raises(ValueError):
+            _record_from_json_dict(d)
 
     def test_missing_file_empty(self, tmp_path):
         assert cache_load(9, str(tmp_path)) == {}

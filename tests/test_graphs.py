@@ -459,7 +459,7 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_full_scan(self, n):
-        # the column-only scan against every row and column arrangement, on
+        # the row-only scan against every row and column arrangement, on
         # the candidates as generated and on a relabeled copy of each
         rng = random.Random(n)
         for g in connected_candidates(n):
@@ -470,7 +470,7 @@ class TestCanonicalForm:
             assert canonical_form(relabel(g, perm)) == expected
 
     def test_c12_within_guard_and_invariant(self):
-        # 6! column orders; the full scan over rows too would be 6!^2 > _PERM_GUARD
+        # 6! row orders; the full scan over columns too would be 6!^2 > _PERM_GUARD
         g = cycle_graph(12)
         code = canonical_form(g)
         for seed in range(4):
@@ -481,29 +481,43 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("m", [14, 16])
     def test_even_cycles_up_to_the_guard(self, m):
-        # (m/2)! column orders: 5,040 and 40,320, inside _PERM_GUARD
+        # (m/2)! row orders: 5,040 and 40,320, inside _PERM_GUARD
         g = cycle_graph(m)
         perm = list(range(m))
         random.Random(m).shuffle(perm)
         assert canonical_form(relabel(g, perm)) == canonical_form(g)
 
     def test_c18_exceeds_the_guard_before_scanning(self, monkeypatch):
-        # 9! = 362,880 column orders > _PERM_GUARD; no arrangement is built
+        # 9! = 362,880 row orders > _PERM_GUARD; no row order is yielded
         assert factorial(9) > graphs_mod._PERM_GUARD >= factorial(8)
-        started = []
-        real = graphs_mod._interleavings
+        calls, yielded = [], []
+        real = graphs_mod._class_orders
 
-        def spy(queues):
-            started.append(queues)
-            yield from real(queues)
+        def spy(classes):
+            calls.append(classes)
+            for order in real(classes):
+                yielded.append(order)
+                yield order
 
-        monkeypatch.setattr(graphs_mod, "_interleavings", spy)
+        monkeypatch.setattr(graphs_mod, "_class_orders", spy)
         with pytest.raises(SizeGuardExceededError):
             canonical_form(cycle_graph(18))
-        assert started == []
+        assert len(calls) == 1 and yielded == []
+
+    def test_large_twin_column_class_fits_the_guard(self):
+        # 4 rows, and 12 columns: each 2-subset of the rows twice.  4! row
+        # orders, while the column orders exceed _PERM_GUARD even with twin
+        # columns merged (12!/2^6)
+        pairs = list(itertools.combinations(range(4), 2)) * 2
+        g = Graph(16, tuple((u, 4 + j) for j, pair in enumerate(pairs) for u in pair))
+        perm = list(range(16))
+        random.Random(16).shuffle(perm)
+        code = canonical_form(g)
+        assert code[:3] == bytes([1, 16, 4])
+        assert canonical_form(relabel(g, perm)) == code
 
     def test_large_twin_classes_stay_cheap(self):
-        # 9 leaves of star(10) share one neighborhood: one arrangement, not 9!
+        # the smaller part of star(10) is its center: one row order, not 9!
         code = canonical_form(star(10))
         shifted = Graph(10, tuple((9, k) for k in range(9)))
         assert canonical_form(shifted) == code
