@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product
 from multiprocessing import Pool
 
-from .betti import betti_table, euler_numerator, invariants_from_betti
+from .betti import BettiTable, betti_table, euler_numerator, invariants_from_betti
 from .graphs import (
     Graph,
     SizeGuardExceededError,
@@ -202,6 +202,16 @@ def _analyze_edges(args: tuple[int, tuple, bytes]) -> AtlasRecord:
     return analyze_graph(Graph(n, edges), code)
 
 
+def _betti_job(args: tuple[int, tuple, int, int]) -> BettiTable | None:
+    """The Betti table of one graph, or None when a nonzero Betti number lies
+    outside the record's (reg, pdim)."""
+    n, edges, reg, pdim = args
+    try:
+        return betti_table(Graph(n, edges), reg, pdim)
+    except AssertionError:
+        return None
+
+
 # ---------------------------------------------------------------------------
 # persistent cache: append-only JSONL, one record per line, last write wins
 
@@ -289,6 +299,40 @@ def cache_load(n: int, directory: str | None = None) -> dict[str, AtlasRecord]:
 # sweeping and verification
 
 
+def _classes(
+    n: int, use_cache: bool, directory: str | None, force: bool
+) -> list[tuple[bytes, Graph, AtlasRecord | None]]:
+    """Every class on n vertices in enumeration order, with its cached record
+    or None."""
+    cached = cache_load(n, directory) if use_cache else {}
+    return [(code, g, cached.get(code.hex())) for code, g in _enumerate_with_codes(n, force)]
+
+
+def _attach_records(
+    classes: list[tuple[bytes, Graph, AtlasRecord | None]],
+    pool,
+    use_cache: bool,
+    directory: str | None,
+) -> list[tuple[Graph, AtlasRecord]]:
+    """Analyze the classes without a record, in `pool` if there is one, store
+    each new record as it arrives, and return the rows sorted by code."""
+    out = [(g, rec) for _, g, rec in classes if rec is not None]
+    missing = [(code, g) for code, g, rec in classes if rec is None]
+    if pool:
+        # one task per graph is mostly IPC (about 1 ms of work each at n = 9);
+        # 16 chunks keep the workers busy and the records streaming in order
+        recs = pool.imap(_analyze_edges, [(g.n, g.edges, code) for code, g in missing],
+                         chunksize=max(1, len(missing) // 16))
+    else:
+        recs = (analyze_graph(g, code) for code, g in missing)
+    for (_, g), rec in zip(missing, recs):
+        out.append((g, rec))
+        if use_cache:
+            cache_store(rec, directory)
+    out.sort(key=lambda pair: pair[1].code)
+    return out
+
+
 def sweep(
     n: int,
     jobs: int = 1,
@@ -297,26 +341,12 @@ def sweep(
     force: bool = False,
 ) -> list[tuple[Graph, AtlasRecord]]:
     """Enumerate all classes on n vertices and attach records, reusing the
-    JSONL cache for graphs already analyzed."""
-    cached = cache_load(n, directory) if use_cache else {}
-    graphs = list(_enumerate_with_codes(n, force))
-    out: list[tuple[Graph, AtlasRecord]] = []
-    missing: list[tuple[bytes, Graph]] = []
-    for code, g in graphs:
-        rec = cached.get(code.hex())
-        if rec is None:
-            missing.append((code, g))
-        else:
-            out.append((g, rec))
+    JSONL cache for graphs already analyzed; with jobs > 1 the missing
+    records are analyzed by that many worker processes."""
+    classes = _classes(n, use_cache, directory, force)
+    missing = any(rec is None for _, _, rec in classes)
     with Pool(jobs) if jobs > 1 and missing else nullcontext() as pool:
-        recs = (pool.imap(_analyze_edges, [(g.n, g.edges, code) for code, g in missing])
-                if pool else (analyze_graph(g, code) for code, g in missing))
-        for (_, g), rec in zip(missing, recs):
-            out.append((g, rec))
-            if use_cache:
-                cache_store(rec, directory)
-    out.sort(key=lambda pair: pair[1].code)
-    return out
+        return _attach_records(classes, pool, use_cache, directory)
 
 
 def computed_pairs(
@@ -359,9 +389,18 @@ def verify(
 ) -> VerificationReport:
     """Run the full check for one n: pair-set equality, cardinality, tuple
     shape, the per-graph property sweep, and optionally the Betti oracle on
-    every class with at most 8 edges.  Failures land in the report rather
-    than raising."""
-    records = sweep(n, jobs, use_cache, directory, force)
+    every class with at most 8 edges.  With jobs > 1 one pool of that many
+    workers analyzes the missing records and then computes the Betti tables,
+    largest first.  Failures land in the report rather than raising."""
+    classes = _classes(n, use_cache, directory, force)
+    busy = any(rec is None or (with_betti_oracle and g.q <= 8) for _, g, rec in classes)
+    with Pool(jobs) if jobs > 1 and busy else nullcontext() as pool:
+        records = _attach_records(classes, pool, use_cache, directory)
+        checked = sorted(((g, rec) for g, rec in records if with_betti_oracle and g.q <= 8),
+                         key=lambda row: -row[0].q)
+        tasks = [(g.n, g.edges, rec.invariants.reg, rec.invariants.pdim) for g, rec in checked]
+        tables = dict(zip((rec.code for _, rec in checked),
+                          pool.imap(_betti_job, tasks) if pool else map(_betti_job, tasks)))
     computed = {(rec.invariants.reg, rec.invariants.pdim) for _, rec in records}
     theoretical = theoretical_pairs(n)
     passes: dict[str, int] = {}
@@ -379,10 +418,9 @@ def verify(
         note("tuple_shape_r_r_p_n1_n1", t.as_tuple() == (t.reg, t.reg, t.pdim, n - 1, n - 1), g, rec)
         note("h_at_1_nonzero", sum(rec.h_poly) != 0, g, rec)
         note("h_order_independent", rec.h_poly == rec.h_poly_lex, g, rec)
-        if with_betti_oracle and g.q <= 8:
-            try:
-                table = betti_table(g, t.reg, t.pdim)
-            except AssertionError:
+        if rec.code in tables:
+            table = tables[rec.code]
+            if table is None:
                 # a nonzero Betti number outside the record's (reg, pdim)
                 note("betti_oracle_agrees", False, g, rec)
                 continue

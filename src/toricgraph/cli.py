@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check realized pairs against the closed form")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--with-betti-oracle", action="store_true")
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="worker processes for the per-graph analysis and the Betti oracle")
     p.add_argument("--out", metavar="FILE", help="report JSON path")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--force", action="store_true", help="override the size guard")
@@ -263,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True, metavar="FILE.svg|csv")
     p.add_argument("--source", choices=["theoretical", "computed"], default="theoretical")
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="worker processes for the per-graph analysis")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_plot)
     return parser

@@ -268,22 +268,68 @@ class TestVerify:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return c6, g
 
-    def test_betti_check_reads_the_stored_record(self, tmp_path):
+    # the tampered cache is on disk, so with jobs=2 the workers see it too
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_betti_check_reads_the_stored_record(self, tmp_path, jobs):
         c6, g = self._tamper_c6(tmp_path, h=[1, 2, 1], h_lex=[1, 2, 1])
-        report = verify(6, with_betti_oracle=True, directory=str(tmp_path))
+        report = verify(6, jobs=jobs, with_betti_oracle=True, directory=str(tmp_path))
         assert report.counterexamples == (
             f"betti_euler_matches_numerator: n=6 code={c6} edges={g.edges}",
         )
 
-    def test_betti_table_outside_the_record_bounds_reaches_the_report(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_betti_table_outside_the_record_bounds_reaches_the_report(self, tmp_path, jobs):
         # the true C_6 table has beta_{1,3} = 1, outside reg = 1
         c6, g = self._tamper_c6(tmp_path, reg=1, deg_h=1, h=[1, 1], h_lex=[1, 1])
-        report = verify(6, with_betti_oracle=True, directory=str(tmp_path))
+        report = verify(6, jobs=jobs, with_betti_oracle=True, directory=str(tmp_path))
         assert report.counterexamples == (
             f"betti_oracle_agrees: n=6 code={c6} edges={g.edges}",
             "pair sets differ: missing=[(2, 1)] extra=[]",
             "pair count 7 != formula 8",
         )
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_pool_report_matches_serial(self, n):
+        serial, pooled = (
+            report_to_json_dict(verify(n, jobs=jobs, with_betti_oracle=True, use_cache=False))
+            for jobs in (1, 2)
+        )
+        assert pooled == serial
+
+    @pytest.mark.parametrize("jobs, parent_calls", [(1, 16), (2, 0)])
+    def test_betti_oracle_runs_in_the_workers(self, monkeypatch, jobs, parent_calls):
+        # one table per class with q <= 8 (16 of the 17 at n = 6); with jobs=2
+        # the workers compute them all and the parent none
+        import toricgraph.atlas as atlas_mod
+
+        real = atlas_mod.betti_table
+        calls = []
+
+        def counting(g, reg, pdim):
+            calls.append(g)
+            return real(g, reg, pdim)
+
+        monkeypatch.setattr(atlas_mod, "betti_table", counting)
+        report = verify(6, jobs=jobs, with_betti_oracle=True, use_cache=False)
+        assert report.counterexamples == ()
+        assert len(calls) == parent_calls
+
+    def test_one_pool_per_verify_and_none_on_a_warm_cache(self, monkeypatch, tmp_path):
+        import toricgraph.atlas as atlas_mod
+
+        real = atlas_mod.Pool
+        opened = []
+
+        def counting(jobs):
+            opened.append(jobs)
+            return real(jobs)
+
+        monkeypatch.setattr(atlas_mod, "Pool", counting)
+        verify(6, jobs=2, with_betti_oracle=True, directory=str(tmp_path))
+        assert opened == [2]
+        report = verify(6, jobs=2, directory=str(tmp_path))
+        assert opened == [2]
+        assert report.equal and report.counterexamples == ()
 
     def test_regularity_bound_violation_reaches_the_report(self, monkeypatch):
         import toricgraph.atlas as atlas_mod
