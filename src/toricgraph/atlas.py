@@ -217,11 +217,12 @@ def _betti_job(args: tuple[int, tuple, int, int]) -> BettiTable | None:
 
 
 def cache_dir() -> str:
-    return os.environ.get(CACHE_ENV, os.path.join(".", "atlas-cache"))
+    # an empty value counts as unset
+    return os.environ.get(CACHE_ENV) or os.path.join(".", "atlas-cache")
 
 
-def _cache_path(n: int, directory: str | None = None) -> str:
-    return os.path.join(directory or cache_dir(), f"atlas-n{n}.jsonl")
+def _cache_path(n: int) -> str:
+    return os.path.join(cache_dir(), f"atlas-n{n}.jsonl")
 
 
 def record_to_json_dict(rec: AtlasRecord) -> dict:
@@ -267,17 +268,17 @@ def _record_from_json_dict(d: dict) -> AtlasRecord:
     )
 
 
-def cache_store(rec: AtlasRecord, directory: str | None = None) -> None:
-    path = _cache_path(rec.n, directory)
+def cache_store(rec: AtlasRecord) -> None:
+    path = _cache_path(rec.n)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record_to_json_dict(rec)) + "\n")
 
 
-def cache_load(n: int, directory: str | None = None) -> dict[str, AtlasRecord]:
+def cache_load(n: int) -> dict[str, AtlasRecord]:
     """Records keyed by canonical code; corrupted lines are reported and
     skipped, duplicate codes resolve to the last complete line."""
-    path = _cache_path(n, directory)
+    path = _cache_path(n)
     records: dict[str, AtlasRecord] = {}
     if not os.path.exists(path):
         return records
@@ -299,20 +300,15 @@ def cache_load(n: int, directory: str | None = None) -> dict[str, AtlasRecord]:
 # sweeping and verification
 
 
-def _classes(
-    n: int, use_cache: bool, directory: str | None, force: bool
-) -> list[tuple[bytes, Graph, AtlasRecord | None]]:
+def _classes(n: int, use_cache: bool, force: bool) -> list[tuple[bytes, Graph, AtlasRecord | None]]:
     """Every class on n vertices in enumeration order, with its cached record
     or None."""
-    cached = cache_load(n, directory) if use_cache else {}
+    cached = cache_load(n) if use_cache else {}
     return [(code, g, cached.get(code.hex())) for code, g in _enumerate_with_codes(n, force)]
 
 
 def _attach_records(
-    classes: list[tuple[bytes, Graph, AtlasRecord | None]],
-    pool,
-    use_cache: bool,
-    directory: str | None,
+    classes: list[tuple[bytes, Graph, AtlasRecord | None]], pool, use_cache: bool
 ) -> list[tuple[Graph, AtlasRecord]]:
     """Analyze the classes without a record, in `pool` if there is one, store
     each new record as it arrives, and return the rows sorted by code."""
@@ -328,39 +324,28 @@ def _attach_records(
     for (_, g), rec in zip(missing, recs):
         out.append((g, rec))
         if use_cache:
-            cache_store(rec, directory)
+            cache_store(rec)
     out.sort(key=lambda pair: pair[1].code)
     return out
 
 
 def sweep(
-    n: int,
-    jobs: int = 1,
-    use_cache: bool = True,
-    directory: str | None = None,
-    force: bool = False,
+    n: int, jobs: int = 1, use_cache: bool = True, force: bool = False
 ) -> list[tuple[Graph, AtlasRecord]]:
     """Enumerate all classes on n vertices and attach records, reusing the
     JSONL cache for graphs already analyzed; with jobs > 1 the missing
     records are analyzed by that many worker processes."""
-    classes = _classes(n, use_cache, directory, force)
+    classes = _classes(n, use_cache, force)
     missing = any(rec is None for _, _, rec in classes)
     with Pool(jobs) if jobs > 1 and missing else nullcontext() as pool:
-        return _attach_records(classes, pool, use_cache, directory)
+        return _attach_records(classes, pool, use_cache)
 
 
 def computed_pairs(
-    n: int,
-    jobs: int = 1,
-    use_cache: bool = True,
-    directory: str | None = None,
-    force: bool = False,
+    n: int, jobs: int = 1, use_cache: bool = True, force: bool = False
 ) -> set[tuple[int, int]]:
     """The set of (regularity, pdim) pairs realized on n vertices."""
-    return {
-        (rec.invariants.reg, rec.invariants.pdim)
-        for _, rec in sweep(n, jobs, use_cache, directory, force)
-    }
+    return {(rec.invariants.reg, rec.invariants.pdim) for _, rec in sweep(n, jobs, use_cache, force)}
 
 
 def property_sweep(g: Graph, t: InvariantTuple, mat: int) -> list[tuple[str, bool]]:
@@ -384,7 +369,6 @@ def verify(
     jobs: int = 1,
     with_betti_oracle: bool = False,
     use_cache: bool = True,
-    directory: str | None = None,
     force: bool = False,
 ) -> VerificationReport:
     """Run the full check for one n: pair-set equality, cardinality, tuple
@@ -392,10 +376,10 @@ def verify(
     every class with at most 8 edges.  With jobs > 1 one pool of that many
     workers analyzes the missing records and then computes the Betti tables,
     largest first.  Failures land in the report rather than raising."""
-    classes = _classes(n, use_cache, directory, force)
+    classes = _classes(n, use_cache, force)
     busy = any(rec is None or (with_betti_oracle and g.q <= 8) for _, g, rec in classes)
     with Pool(jobs) if jobs > 1 and busy else nullcontext() as pool:
-        records = _attach_records(classes, pool, use_cache, directory)
+        records = _attach_records(classes, pool, use_cache)
         checked = sorted(((g, rec) for g, rec in records if with_betti_oracle and g.q <= 8),
                          key=lambda row: -row[0].q)
         tasks = [(g.n, g.edges, rec.invariants.reg, rec.invariants.pdim) for g, rec in checked]

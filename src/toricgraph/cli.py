@@ -59,6 +59,15 @@ def _jobs(text: str) -> int:
     return int(text)
 
 
+def _check_out(path: str) -> None:
+    # called before the sweep, so that an --out that cannot be written costs no sweep
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        raise ValueError(f"--out directory {parent!r} does not exist")
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path!r} is a directory")
+
+
 def _family_graph(name: str, params: list[int]) -> Graph:
     if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}")
@@ -124,6 +133,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    out = args.out or f"verify-n{args.n}.json"
+    _check_out(out)
     report = atlas.verify(
         args.n,
         jobs=args.jobs,
@@ -131,7 +142,6 @@ def cmd_verify(args) -> int:
         use_cache=not args.no_cache,
         force=args.force,
     )
-    out = args.out or f"verify-n{args.n}.json"
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(atlas.report_to_json_dict(report), fh, indent=2)
         fh.write("\n")
@@ -205,6 +215,7 @@ def _scatter_svg(pairs, n: int) -> str:
 def cmd_plot(args) -> int:
     if not args.out.endswith((".csv", ".svg")):
         raise ValueError(f"--out must end in .csv or .svg, got {args.out!r}")
+    _check_out(args.out)
     if args.source == "computed":
         pairs = atlas.computed_pairs(args.n, jobs=args.jobs, force=args.force)
     else:

@@ -456,23 +456,17 @@ def _class_orders(classes: list[list[int]]):
         yield [v for part in parts for v in part]
 
 
-def _bipartite_code(g: Graph, rows: tuple[int, ...], cols: tuple[int, ...]) -> bytes:
+def _bipartite_code(g: Graph, row_classes: list[list[int]], col_classes: list[list[int]]) -> bytes:
     # The code is the row-major biadjacency bit string.  For a fixed row
     # order it is smallest when each refinement class of columns is sorted by
     # its column vector, first row most significant, so only the row orders
     # are scanned.
-    row_set = set(rows)
-    colors = _wl_colors(g.neighbors, [0 if v in row_set else 1 for v in range(g.n)])
-    classes = _color_classes(colors)
-    row_classes = [m for m in classes if m[0] in row_set]
-    col_classes = [m for m in classes if m[0] not in row_set]
-    a, b = len(rows), len(cols)
+    a, b = sum(map(len, row_classes)), sum(map(len, col_classes))
 
     def row_major(row_order: list[int]) -> int:
         row_weight = {u: 1 << (a - 1 - k) for k, u in enumerate(row_order)}
-        column = {w: sum(row_weight[u] for u in g.neighbors[w]) for w in cols}
-        col_order = [w for members in col_classes
-                     for w in sorted(members, key=column.__getitem__)]
+        column = lambda w: sum(row_weight[u] for u in g.neighbors[w])
+        col_order = [w for members in col_classes for w in sorted(members, key=column)]
         weight = {w: 1 << (b - 1 - k) for k, w in enumerate(col_order)}
         num = 0
         for u in row_order:
@@ -491,9 +485,10 @@ def canonical_form(g: Graph) -> bytes:
     The code is the smallest row-major biadjacency matrix over part-respecting
     orderings, in both orientations when the parts have equal size; the rows
     are the part that is not larger.  Vertices are ordered class by class
-    after iterated degree refinement.  Only the row orders are scanned: for a
-    fixed row order the smallest code sorts the columns of each class by
-    their column vector.  _PERM_GUARD bounds the product of the row classes'
+    after iterated degree refinement, which runs once and serves both
+    orientations.  Only the row orders are scanned: for a fixed row order
+    the smallest code sorts the columns of each class by their column
+    vector.  _PERM_GUARD bounds the product of the row classes'
     factorials, which is at most (n // 2)!, and raises SizeGuardExceededError
     beyond it: every graph on at most 17 vertices fits (8! <= _PERM_GUARD),
     while K_{9,9} and C_18 (9! row orders) do not.
@@ -503,9 +498,12 @@ def canonical_form(g: Graph) -> bytes:
     parts = bipartition(g)
     if not is_connected(g):
         raise DisconnectedError("canonical forms are computed for connected graphs only")
-    a, b = parts.part_a, parts.part_b
-    if len(a) < len(b):
-        return _bipartite_code(g, a, b)
-    if len(b) < len(a):
-        return _bipartite_code(g, b, a)
-    return min(_bipartite_code(g, a, b), _bipartite_code(g, b, a))
+    a_set = set(parts.part_a)
+    classes = _color_classes(_wl_colors(g.neighbors, [0 if v in a_set else 1 for v in range(g.n)]))
+    # Refinement never merges the parts, and swapping their start colours relabels each round
+    # increasingly within each part, so either start lists each part's classes in one order.
+    a_classes = [m for m in classes if m[0] in a_set]
+    b_classes = [m for m in classes if m[0] not in a_set]
+    a, b = len(parts.part_a), len(parts.part_b)
+    orientations = ((a_classes, b_classes, a <= b), (b_classes, a_classes, b <= a))
+    return min(_bipartite_code(g, rows, cols) for rows, cols, fits in orientations if fits)

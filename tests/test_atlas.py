@@ -5,6 +5,7 @@ import json
 import pytest
 
 from toricgraph.atlas import (
+    CACHE_ENV,
     _doubly_sorted,
     _record_from_json_dict,
     analyze_graph,
@@ -251,10 +252,11 @@ class TestVerify:
         assert report.property_passes["betti_oracle_agrees"] > 0
 
     @staticmethod
-    def _tamper_c6(tmp_path, **fields):
-        """Sweep n=6 into tmp_path, overwrite fields of the stored C_6
-        record, and return the C_6 code and its enumerated graph."""
-        rows = sweep(6, directory=str(tmp_path))
+    def _tamper_c6(tmp_path, monkeypatch, **fields):
+        """Sweep n=6 into a cache at tmp_path, overwrite fields of the stored
+        C_6 record, and return the C_6 code and its enumerated graph."""
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        rows = sweep(6)
         c6 = canonical_form(cycle_graph(6)).hex()
         (g,) = [g for g, rec in rows if rec.code == c6]
         path = tmp_path / "atlas-n6.jsonl"
@@ -270,18 +272,20 @@ class TestVerify:
 
     # the tampered cache is on disk, so with jobs=2 the workers see it too
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_betti_check_reads_the_stored_record(self, tmp_path, jobs):
-        c6, g = self._tamper_c6(tmp_path, h=[1, 2, 1], h_lex=[1, 2, 1])
-        report = verify(6, jobs=jobs, with_betti_oracle=True, directory=str(tmp_path))
+    def test_betti_check_reads_the_stored_record(self, tmp_path, monkeypatch, jobs):
+        c6, g = self._tamper_c6(tmp_path, monkeypatch, h=[1, 2, 1], h_lex=[1, 2, 1])
+        report = verify(6, jobs=jobs, with_betti_oracle=True)
         assert report.counterexamples == (
             f"betti_euler_matches_numerator: n=6 code={c6} edges={g.edges}",
         )
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_betti_table_outside_the_record_bounds_reaches_the_report(self, tmp_path, jobs):
+    def test_betti_table_outside_the_record_bounds_reaches_the_report(
+        self, tmp_path, monkeypatch, jobs
+    ):
         # the true C_6 table has beta_{1,3} = 1, outside reg = 1
-        c6, g = self._tamper_c6(tmp_path, reg=1, deg_h=1, h=[1, 1], h_lex=[1, 1])
-        report = verify(6, jobs=jobs, with_betti_oracle=True, directory=str(tmp_path))
+        c6, g = self._tamper_c6(tmp_path, monkeypatch, reg=1, deg_h=1, h=[1, 1], h_lex=[1, 1])
+        report = verify(6, jobs=jobs, with_betti_oracle=True)
         assert report.counterexamples == (
             f"betti_oracle_agrees: n=6 code={c6} edges={g.edges}",
             "pair sets differ: missing=[(2, 1)] extra=[]",
@@ -325,9 +329,10 @@ class TestVerify:
             return real(jobs)
 
         monkeypatch.setattr(atlas_mod, "Pool", counting)
-        verify(6, jobs=2, with_betti_oracle=True, directory=str(tmp_path))
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        verify(6, jobs=2, with_betti_oracle=True)
         assert opened == [2]
-        report = verify(6, jobs=2, directory=str(tmp_path))
+        report = verify(6, jobs=2)
         assert opened == [2]
         assert report.equal and report.counterexamples == ()
 
@@ -398,45 +403,49 @@ class TestAnalyzeGraph:
 
 
 class TestCache:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         g = cycle_graph(6)
         rec = analyze_graph(g, canonical_form(g))
-        cache_store(rec, str(tmp_path))
-        loaded = cache_load(6, str(tmp_path))
+        cache_store(rec)
+        loaded = cache_load(6)
         assert loaded == {rec.code: rec}
 
-    def test_duplicate_last_wins(self, tmp_path):
+    def test_duplicate_last_wins(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         g = cycle_graph(6)
         rec = analyze_graph(g, canonical_form(g))
         other = rec.__class__(**{**rec.__dict__, "seconds": 99.0})
-        cache_store(rec, str(tmp_path))
-        cache_store(other, str(tmp_path))
-        assert cache_load(6, str(tmp_path))[rec.code].seconds == 99.0
+        cache_store(rec)
+        cache_store(other)
+        assert cache_load(6)[rec.code].seconds == 99.0
 
-    def test_truncated_line_skipped(self, tmp_path):
+    def test_truncated_line_skipped(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         g = cycle_graph(6)
         rec = analyze_graph(g, canonical_form(g))
-        cache_store(rec, str(tmp_path))
+        cache_store(rec)
         path = tmp_path / "atlas-n6.jsonl"
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"code": "dead", "n": 6')  # no newline, cut off
         with pytest.warns(UserWarning, match="corrupted"):
-            loaded = cache_load(6, str(tmp_path))
+            loaded = cache_load(6)
         assert loaded == {rec.code: rec}
 
-    def test_wrongly_typed_field_skipped_and_reanalyzed(self, tmp_path):
-        rows = sweep(4, directory=str(tmp_path))
+    def test_wrongly_typed_field_skipped_and_reanalyzed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        rows = sweep(4)
         path = tmp_path / "atlas-n4.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines()
         d = json.loads(lines[0])
         d["reg"] = str(d["reg"])
         path.write_text("\n".join([json.dumps(d)] + lines[1:]) + "\n", encoding="utf-8")
         with pytest.warns(UserWarning, match="corrupted"):
-            report = verify(4, directory=str(tmp_path))
+            report = verify(4)
         assert report.equal and report.counterexamples == ()
         # the class was analyzed again and its record appended
         with pytest.warns(UserWarning, match="corrupted"):
-            loaded = cache_load(4, str(tmp_path))
+            loaded = cache_load(4)
         assert {c: r.invariants for c, r in loaded.items()} == {
             r.code: r.invariants for _, r in rows
         }
@@ -452,34 +461,41 @@ class TestCache:
         with pytest.raises(ValueError):
             _record_from_json_dict(d)
 
-    def test_missing_file_empty(self, tmp_path):
-        assert cache_load(9, str(tmp_path)) == {}
+    def test_missing_file_empty(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        assert cache_load(9) == {}
 
     def test_cache_dir_env_var(self, monkeypatch):
         import os
 
-        from toricgraph.atlas import CACHE_ENV, cache_dir
+        from toricgraph.atlas import cache_dir
 
         monkeypatch.setenv(CACHE_ENV, "/tmp/somewhere-else")
         assert cache_dir() == "/tmp/somewhere-else"
         monkeypatch.delenv(CACHE_ENV)
         assert cache_dir() == os.path.join(".", "atlas-cache")
+        # an empty value counts as unset
+        monkeypatch.setenv(CACHE_ENV, "")
+        assert cache_dir() == os.path.join(".", "atlas-cache")
 
-    def test_sweep_reuses_cache(self, tmp_path):
+    def test_sweep_reuses_cache(self, tmp_path, monkeypatch):
         import toricgraph.atlas as atlas_mod
 
-        first = atlas_mod.sweep(4, directory=str(tmp_path))
-        second = atlas_mod.sweep(4, directory=str(tmp_path))
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        first = atlas_mod.sweep(4)
+        second = atlas_mod.sweep(4)
         assert [r for _, r in first] == [r for _, r in second]
 
-    def test_sweep_into_another_directory_writes_there(self, tmp_path):
+    def test_sweep_into_another_directory_writes_there(self, tmp_path, monkeypatch):
         import toricgraph.atlas as atlas_mod
 
         first, second = tmp_path / "first", tmp_path / "second"
-        atlas_mod.sweep(4, directory=str(first))
-        rows = atlas_mod.sweep(4, directory=str(second))
+        monkeypatch.setenv(CACHE_ENV, str(first))
+        atlas_mod.sweep(4)
+        monkeypatch.setenv(CACHE_ENV, str(second))
+        rows = atlas_mod.sweep(4)
         assert (second / "atlas-n4.jsonl").exists()
-        assert set(cache_load(4, str(second))) == {rec.code for _, rec in rows}
+        assert set(cache_load(4)) == {rec.code for _, rec in rows}
 
     def test_parallel_sweep_matches_serial(self, tmp_path):
         import toricgraph.atlas as atlas_mod
@@ -494,6 +510,7 @@ class TestCache:
     def test_interrupted_sweep_resumes(self, tmp_path, monkeypatch):
         import toricgraph.atlas as atlas_mod
 
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         real = atlas_mod.analyze_graph
         analyzed = []
 
@@ -505,22 +522,22 @@ class TestCache:
 
         monkeypatch.setattr(atlas_mod, "analyze_graph", failing)
         with pytest.raises(RuntimeError, match="interrupted"):
-            atlas_mod.sweep(6, directory=str(tmp_path))
-        assert len(cache_load(6, str(tmp_path))) == 5
+            atlas_mod.sweep(6)
+        assert len(cache_load(6)) == 5
 
         def counting(g, code):
             analyzed.append(g)
             return real(g, code)
 
         monkeypatch.setattr(atlas_mod, "analyze_graph", counting)
-        resumed = atlas_mod.sweep(6, directory=str(tmp_path))
+        resumed = atlas_mod.sweep(6)
         assert len(analyzed) == KNOWN_CLASS_COUNTS[6]
         assert len({canonical_form(g) for g in analyzed}) == KNOWN_CLASS_COUNTS[6]
-        monkeypatch.undo()
+        monkeypatch.setattr(atlas_mod, "analyze_graph", real)
         fresh = atlas_mod.sweep(6, use_cache=False)
         strip = lambda rows: [
             (g.edges, r.code, r.invariants, r.matching, r.h_poly, r.h_poly_lex)
             for g, r in rows
         ]
         assert strip(resumed) == strip(fresh)
-        assert len(cache_load(6, str(tmp_path))) == KNOWN_CLASS_COUNTS[6]
+        assert len(cache_load(6)) == KNOWN_CLASS_COUNTS[6]

@@ -253,6 +253,31 @@ class TestPlot:
         assert list(cache.iterdir()) == []
         assert not (tmp_path / "x.txt").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["verify", "--n", "6"],
+        ["plot", "--n", "6", "--source", "computed"],
+    ], ids=["verify", "plot"])
+    def test_missing_out_directory_rejected_before_the_sweep(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setenv(CACHE_ENV, str(cache))
+        out = tmp_path / "missing" / ("r.json" if command[0] == "verify" else "r.csv")
+        code, _, err = run(capsys, *command, "--out", str(out))
+        assert code == 1
+        assert "does not exist" in err
+        assert list(cache.iterdir()) == []
+
+    def test_out_naming_a_directory_rejected_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setenv(CACHE_ENV, str(cache))
+        code, _, err = run(capsys, "verify", "--n", "6", "--out", str(tmp_path))
+        assert code == 1
+        assert "is a directory" in err
+        assert list(cache.iterdir()) == []
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_1_exit_1(self, capsys, tmp_path, jobs):
         code, _, err = run(capsys, "plot", "--n", "4", "--out", str(tmp_path / "p.csv"),

@@ -504,6 +504,35 @@ class TestCanonicalForm:
             canonical_form(cycle_graph(18))
         assert len(calls) == 1 and yielded == []
 
+    @pytest.mark.parametrize("g", [cycle_graph(6), complete_bipartite(3, 3)], ids=["C6", "K33"])
+    def test_refines_once_for_both_orientations(self, g, monkeypatch):
+        calls = []
+        real = graphs_mod._wl_colors
+
+        def spy(neighbors, colors):
+            calls.append(colors)
+            return real(neighbors, colors)
+
+        monkeypatch.setattr(graphs_mod, "_wl_colors", spy)
+        canonical_form(g)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_either_start_lists_each_part_alike(self, n):
+        # the invariant that lets one refinement serve both orientations:
+        # each part's classes, in order, do not depend on which part starts as 0
+        half = n // 2
+        for g in connected_candidates(n):
+            if bipartition(g).part_a != tuple(range(half)):
+                continue
+            runs = []
+            for start in ([0] * half + [1] * half, [1] * half + [0] * half):
+                colors = _wl_colors(g.neighbors, start)
+                classes = [[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))]
+                runs.append(([m for m in classes if m[0] < half],
+                             [m for m in classes if m[0] >= half]))
+            assert runs[0] == runs[1]
+
     def test_large_twin_column_class_fits_the_guard(self):
         # 4 rows, and 12 columns: each 2-subset of the rows twice.  4! row
         # orders, while the column orders exceed _PERM_GUARD even with twin
