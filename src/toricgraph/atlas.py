@@ -85,7 +85,8 @@ def _check_guard(n: int, force: bool) -> None:
         raise SizeGuardExceededError(f"need n >= 2, got {n}")
     if n > ENUMERATION_GUARD and not force:
         raise SizeGuardExceededError(
-            f"n = {n} exceeds the guard {ENUMERATION_GUARD}; pass force=True to override"
+            f"n = {n} exceeds the guard {ENUMERATION_GUARD}; "
+            "pass force=True (--force) to override"
         )
 
 
@@ -300,52 +301,54 @@ def cache_load(n: int) -> dict[str, AtlasRecord]:
 # sweeping and verification
 
 
-def _classes(n: int, use_cache: bool, force: bool) -> list[tuple[bytes, Graph, AtlasRecord | None]]:
-    """Every class on n vertices in enumeration order, with its cached record
-    or None."""
-    cached = cache_load(n) if use_cache else {}
-    return [(code, g, cached.get(code.hex())) for code, g in _enumerate_with_codes(n, force)]
-
-
-def _attach_records(
-    classes: list[tuple[bytes, Graph, AtlasRecord | None]], pool, use_cache: bool
-) -> list[tuple[Graph, AtlasRecord]]:
-    """Analyze the classes without a record, in `pool` if there is one, store
-    each new record as it arrives, and return the rows sorted by code."""
-    out = [(g, rec) for _, g, rec in classes if rec is not None]
-    missing = [(code, g) for code, g, rec in classes if rec is None]
-    if pool:
-        # one task per graph is mostly IPC (about 1 ms of work each at n = 9);
-        # 16 chunks keep the workers busy and the records streaming in order
-        recs = pool.imap(_analyze_edges, [(g.n, g.edges, code) for code, g in missing],
-                         chunksize=max(1, len(missing) // 16))
-    else:
-        recs = (analyze_graph(g, code) for code, g in missing)
-    for (_, g), rec in zip(missing, recs):
-        out.append((g, rec))
-        if use_cache:
-            cache_store(rec)
-    out.sort(key=lambda pair: pair[1].code)
-    return out
-
-
 def sweep(
-    n: int, jobs: int = 1, use_cache: bool = True, force: bool = False
-) -> list[tuple[Graph, AtlasRecord]]:
+    n: int,
+    jobs: int = 1,
+    use_cache: bool = True,
+    force: bool = False,
+    with_betti_oracle: bool = False,
+) -> tuple[list[tuple[Graph, AtlasRecord]], dict[str, BettiTable | None]]:
     """Enumerate all classes on n vertices and attach records, reusing the
-    JSONL cache for graphs already analyzed; with jobs > 1 the missing
-    records are analyzed by that many worker processes."""
-    classes = _classes(n, use_cache, force)
-    missing = any(rec is None for _, _, rec in classes)
-    with Pool(jobs) if jobs > 1 and missing else nullcontext() as pool:
-        return _attach_records(classes, pool, use_cache)
+    JSONL cache for graphs already analyzed and storing each new record as it
+    arrives.  Returns (rows, tables): rows are (graph, record) pairs sorted by
+    code; with the Betti oracle on, tables maps the code of every class with
+    at most 8 edges to its Betti table, or to None when a nonzero Betti
+    number lies outside the record's (reg, pdim), and is {} otherwise.  With
+    jobs > 1 one pool of that many workers, opened only when there is work,
+    analyzes the missing records and then computes the tables, largest
+    first."""
+    cached = cache_load(n) if use_cache else {}
+    classes = [(code, g, cached.get(code.hex())) for code, g in _enumerate_with_codes(n, force)]
+    rows = [(g, rec) for _, g, rec in classes if rec is not None]
+    missing = [(code, g) for code, g, rec in classes if rec is None]
+    busy = missing or (with_betti_oracle and any(g.q <= 8 for g, _ in rows))
+    with Pool(jobs) if jobs > 1 and busy else nullcontext() as pool:
+        if pool:
+            # one task per graph is mostly IPC (about 1 ms of work each at n = 9);
+            # 16 chunks keep the workers busy and the records streaming in order
+            recs = pool.imap(_analyze_edges, [(g.n, g.edges, code) for code, g in missing],
+                             chunksize=max(1, len(missing) // 16))
+        else:
+            recs = (analyze_graph(g, code) for code, g in missing)
+        for (_, g), rec in zip(missing, recs):
+            rows.append((g, rec))
+            if use_cache:
+                cache_store(rec)
+        rows.sort(key=lambda row: row[1].code)
+        checked = sorted(((g, rec) for g, rec in rows if with_betti_oracle and g.q <= 8),
+                         key=lambda row: -row[0].q)
+        tasks = [(g.n, g.edges, rec.invariants.reg, rec.invariants.pdim) for g, rec in checked]
+        tables = dict(zip((rec.code for _, rec in checked),
+                          pool.imap(_betti_job, tasks) if pool else map(_betti_job, tasks)))
+    return rows, tables
 
 
 def computed_pairs(
     n: int, jobs: int = 1, use_cache: bool = True, force: bool = False
 ) -> set[tuple[int, int]]:
     """The set of (regularity, pdim) pairs realized on n vertices."""
-    return {(rec.invariants.reg, rec.invariants.pdim) for _, rec in sweep(n, jobs, use_cache, force)}
+    rows, _ = sweep(n, jobs, use_cache, force)
+    return {(rec.invariants.reg, rec.invariants.pdim) for _, rec in rows}
 
 
 def property_sweep(g: Graph, t: InvariantTuple, mat: int) -> list[tuple[str, bool]]:
@@ -371,21 +374,12 @@ def verify(
     use_cache: bool = True,
     force: bool = False,
 ) -> VerificationReport:
-    """Run the full check for one n: pair-set equality, cardinality, tuple
-    shape, the per-graph property sweep, and optionally the Betti oracle on
-    every class with at most 8 edges.  With jobs > 1 one pool of that many
-    workers analyzes the missing records and then computes the Betti tables,
-    largest first.  Failures land in the report rather than raising."""
-    classes = _classes(n, use_cache, force)
-    busy = any(rec is None or (with_betti_oracle and g.q <= 8) for _, g, rec in classes)
-    with Pool(jobs) if jobs > 1 and busy else nullcontext() as pool:
-        records = _attach_records(classes, pool, use_cache)
-        checked = sorted(((g, rec) for g, rec in records if with_betti_oracle and g.q <= 8),
-                         key=lambda row: -row[0].q)
-        tasks = [(g.n, g.edges, rec.invariants.reg, rec.invariants.pdim) for g, rec in checked]
-        tables = dict(zip((rec.code for _, rec in checked),
-                          pool.imap(_betti_job, tasks) if pool else map(_betti_job, tasks)))
-    computed = {(rec.invariants.reg, rec.invariants.pdim) for _, rec in records}
+    """Run the full check for one n over one `sweep`: pair-set equality,
+    cardinality, tuple shape, the per-graph property sweep, and optionally
+    the Betti oracle on every class with at most 8 edges.  Failures land in
+    the report rather than raising."""
+    rows, tables = sweep(n, jobs, use_cache, force, with_betti_oracle)
+    computed = {(rec.invariants.reg, rec.invariants.pdim) for _, rec in rows}
     theoretical = theoretical_pairs(n)
     passes: dict[str, int] = {}
     failures: list[str] = []
@@ -395,7 +389,7 @@ def verify(
         if not ok:
             failures.append(f"{prop}: n={g.n} code={rec.code} edges={g.edges}")
 
-    for g, rec in records:
+    for g, rec in rows:
         t = rec.invariants
         for prop, ok in property_sweep(g, t, rec.matching):
             note(prop, ok, g, rec)
@@ -427,7 +421,7 @@ def verify(
         computed=tuple(sorted(computed)),
         theoretical=tuple(sorted(theoretical)),
         equal=computed == theoretical,
-        class_count=len(records),
+        class_count=len(rows),
         property_passes=passes,
         counterexamples=tuple(failures),
     )

@@ -6,7 +6,7 @@ pipeline needs only the minimal leading halves of the even-cycle binomials:
 the cycle search `leading_cycles` grows only the cycles whose leading half
 contains no leading half kept before, as int edge masks, and `_minimal`
 drops the halves that contain another.  No tail is reduced and no exponent
-tuple is built.  The full cycle enumeration (`cycle_binomials`) stays as the
+tuple is built.  The full cycle enumeration (`toric_generators`) stays as the
 reference and feeds Buchberger's algorithm, the oracle `edge_ring_gb`.  The
 Hilbert numerator N(t) with HS = N(t)/(1-t)^q is computed on squarefree
 masks by the pivot-variable recursion N(I) = N(I + <x>) + t*N(I : x);
@@ -37,7 +37,6 @@ from .groebner import (
     initial_ideal,  # unused here; perfbench/spans.py rebinds hilbert.initial_ideal
 )
 from .toric import (
-    Binomial,
     EmptyEdgeSetError,
     Monomial,
     leading_cycles,
@@ -241,17 +240,11 @@ def _in_kernel(g: Graph, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int,
     return pairs
 
 
-def cycle_binomials(g: Graph) -> tuple[Binomial, ...]:
-    """The even-cycle binomials of g, which generate its toric ideal and form
-    a universal Groebner basis of it."""
-    return toric_generators(g).generators
-
-
 def edge_ring_gb(g: Graph, order: MonomialOrder = DEGREVLEX) -> ReducedGB:
     """Reduced Groebner basis of the toric ideal of g by Buchberger's
     algorithm, the oracle for `edge_ring_hilbert`; every element is checked
     to lie in the kernel of the edge-to-vertex map."""
-    gb = buchberger(order, cycle_binomials(g), nvars=g.q)
+    gb = buchberger(order, toric_generators(g).generators, nvars=g.q)
     for b in gb.elements:
         assert validate_kernel_membership(g, b), "basis element escaped the kernel"
     return gb
@@ -275,7 +268,9 @@ def invariant_tuple(g: Graph, data: HilbertData | None = None) -> InvariantTuple
     holds it: the Hilbert series does not depend on the order."""
     if g.n < 2 or g.q == 0:
         raise EmptyEdgeSetError("need at least one edge (two vertices)")
-    if not is_connected(g):
+    # a connected graph has at least n - 1 edges; checked first, so that a
+    # huge vertex count with few edges never builds its adjacency
+    if g.q < g.n - 1 or not is_connected(g):
         raise DisconnectedError("invariants are computed for connected graphs only")
     if data is None:
         data = edge_ring_hilbert(g, DEGREVLEX)

@@ -256,7 +256,7 @@ class TestVerify:
         """Sweep n=6 into a cache at tmp_path, overwrite fields of the stored
         C_6 record, and return the C_6 code and its enumerated graph."""
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-        rows = sweep(6)
+        rows = sweep(6)[0]
         c6 = canonical_form(cycle_graph(6)).hex()
         (g,) = [g for g, rec in rows if rec.code == c6]
         path = tmp_path / "atlas-n6.jsonl"
@@ -336,6 +336,25 @@ class TestVerify:
         assert opened == [2]
         assert report.equal and report.counterexamples == ()
 
+    def test_verify_checks_one_sweep(self, monkeypatch):
+        import inspect
+
+        import toricgraph.atlas as atlas_mod
+
+        real = atlas_mod.sweep
+        calls = []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(dict(bound.arguments))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(atlas_mod, "sweep", spy)
+        report = verify(6, jobs=2, with_betti_oracle=True, use_cache=False)
+        assert report.counterexamples == ()
+        assert calls == [dict(n=6, jobs=2, use_cache=False, force=False, with_betti_oracle=True)]
+
     def test_regularity_bound_violation_reaches_the_report(self, monkeypatch):
         import toricgraph.atlas as atlas_mod
 
@@ -364,7 +383,7 @@ class TestVerify:
             return [(prop, ok and (prop, g.q) != ("pdim_q_n_1", 5)) for prop, ok in real(g, t, mat)]
 
         monkeypatch.setattr(atlas_mod, "property_sweep", failing)
-        (row,) = [(g, rec) for g, rec in sweep(5, use_cache=False) if g.q == 5]
+        (row,) = [(g, rec) for g, rec in sweep(5, use_cache=False)[0] if g.q == 5]
         g, rec = row
         report = verify(5, use_cache=False)
         assert report.counterexamples == (f"pdim_q_n_1: n=5 code={rec.code} edges={g.edges}",)
@@ -395,7 +414,7 @@ class TestAnalyzeGraph:
     @pytest.mark.parametrize("n", sorted(RECORD_DIGESTS))
     def test_records_are_pinned(self, n):
         digest = hashlib.sha256()
-        for _, rec in sweep(n, use_cache=False):
+        for _, rec in sweep(n, use_cache=False)[0]:
             d = record_to_json_dict(rec)
             del d["seconds"]
             digest.update((json.dumps(d) + "\n").encode())
@@ -434,7 +453,7 @@ class TestCache:
 
     def test_wrongly_typed_field_skipped_and_reanalyzed(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-        rows = sweep(4)
+        rows = sweep(4)[0]
         path = tmp_path / "atlas-n4.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines()
         d = json.loads(lines[0])
@@ -482,8 +501,8 @@ class TestCache:
         import toricgraph.atlas as atlas_mod
 
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-        first = atlas_mod.sweep(4)
-        second = atlas_mod.sweep(4)
+        first = atlas_mod.sweep(4)[0]
+        second = atlas_mod.sweep(4)[0]
         assert [r for _, r in first] == [r for _, r in second]
 
     def test_sweep_into_another_directory_writes_there(self, tmp_path, monkeypatch):
@@ -493,19 +512,31 @@ class TestCache:
         monkeypatch.setenv(CACHE_ENV, str(first))
         atlas_mod.sweep(4)
         monkeypatch.setenv(CACHE_ENV, str(second))
-        rows = atlas_mod.sweep(4)
+        rows = atlas_mod.sweep(4)[0]
         assert (second / "atlas-n4.jsonl").exists()
         assert set(cache_load(4)) == {rec.code for _, rec in rows}
 
     def test_parallel_sweep_matches_serial(self, tmp_path):
         import toricgraph.atlas as atlas_mod
 
-        parallel = atlas_mod.sweep(5, jobs=2, use_cache=False)
-        serial = atlas_mod.sweep(5, use_cache=False)
+        parallel, parallel_tables = atlas_mod.sweep(
+            5, jobs=2, use_cache=False, with_betti_oracle=True
+        )
+        serial, serial_tables = atlas_mod.sweep(5, use_cache=False, with_betti_oracle=True)
         strip = lambda rows: [
             (r.code, r.invariants, r.matching, r.h_poly, r.h_poly_lex) for _, r in rows
         ]
         assert strip(parallel) == strip(serial)
+        # every class at n = 5 has at most 8 edges, so every class has a table
+        assert parallel_tables == serial_tables
+        assert set(serial_tables) == {r.code for _, r in serial}
+        assert None not in serial_tables.values()
+
+    def test_tables_empty_without_the_oracle(self):
+        import toricgraph.atlas as atlas_mod
+
+        rows, tables = atlas_mod.sweep(4, use_cache=False)
+        assert len(rows) == 3 and tables == {}
 
     def test_interrupted_sweep_resumes(self, tmp_path, monkeypatch):
         import toricgraph.atlas as atlas_mod
@@ -530,11 +561,11 @@ class TestCache:
             return real(g, code)
 
         monkeypatch.setattr(atlas_mod, "analyze_graph", counting)
-        resumed = atlas_mod.sweep(6)
+        resumed = atlas_mod.sweep(6)[0]
         assert len(analyzed) == KNOWN_CLASS_COUNTS[6]
         assert len({canonical_form(g) for g in analyzed}) == KNOWN_CLASS_COUNTS[6]
         monkeypatch.setattr(atlas_mod, "analyze_graph", real)
-        fresh = atlas_mod.sweep(6, use_cache=False)
+        fresh = atlas_mod.sweep(6, use_cache=False)[0]
         strip = lambda rows: [
             (g.edges, r.code, r.invariants, r.matching, r.h_poly, r.h_poly_lex)
             for g, r in rows

@@ -142,6 +142,7 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--n", "12")
         assert code == 1
         assert "guard" in err
+        assert "--force" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_1_exit_1(self, capsys, tmp_path, jobs):

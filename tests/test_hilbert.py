@@ -386,8 +386,19 @@ class TestInvariantTuple:
             invariant_tuple(Graph(1, ()))
         with pytest.raises(DisconnectedError):
             invariant_tuple(Graph(4, ((0, 1), (2, 3))))
+        # n - 1 edges, but a square and a separate edge
+        with pytest.raises(DisconnectedError):
+            invariant_tuple(Graph(6, ((0, 1), (1, 2), (2, 3), (0, 3), (4, 5))))
         with pytest.raises(NotBipartiteError):
             invariant_tuple(cycle_graph(5))
+
+    def test_too_few_edges_rejected_before_adjacency(self):
+        # fewer than n - 1 edges cannot connect n vertices; the adjacency of a
+        # huge vertex count is never built
+        g = Graph(10**6, ((0, 1),))
+        with pytest.raises(DisconnectedError):
+            invariant_tuple(g)
+        assert "neighbors" not in vars(g)
 
     def test_reuses_hilbert_data_of_any_order(self):
         for g in (cycle_graph(8), complete_bipartite(3, 4), cycle_core_graph(10, 3, 2)):
