@@ -10,10 +10,13 @@ matrix sorted both ways.  The matrices are built by orderly generation (Read
 before.  The columns still tied on the rows chosen so far form runs; inside
 every run the next row must read 0..01..1, and the run then splits into its
 0-part and its 1-part, so no candidate with unsorted columns is ever built.
-Each split's matrices are sorted lexicographically by row tuple, deduplicated
-by canonical form, and yielded in that order.  A connected bipartite graph
-has a unique bipartition up to swapping the parts, so no class appears under
-two splits.
+Each split's matrices are sorted lexicographically by row tuple and stay in
+packed form: connectivity is tested on the row masks, the code comes from
+graphs.biadjacency_code (the kernel of canonical_form) with rows 0..a-1 as
+part A, and a Graph is built only for a code not seen before, so classes are
+deduplicated by canonical form and yielded in that order.  A connected
+bipartite graph has a unique bipartition up to swapping the parts, so no
+class appears under two splits.
 
 The sweep attaches the full invariant pipeline to every class and checks the
 realized (regularity, pdim) pairs against the closed-form target set
@@ -35,8 +38,10 @@ from .betti import BettiTable, betti_table, euler_numerator, invariants_from_bet
 from .graphs import (
     Graph,
     SizeGuardExceededError,
-    canonical_form,
-    is_connected,
+    biadjacency_code,
+    biadjacency_connected,
+    canonical_form,  # unused here; perfbench/spans.py rebinds atlas.canonical_form
+    is_connected,  # unused here; perfbench/spans.py rebinds atlas.is_connected
     matching_number,
     max_edges_for_reg,
 )
@@ -131,21 +136,18 @@ def _enumerate_with_codes(n: int, force: bool = False):
     seen: set[bytes] = set()
     for a in range(1, n // 2 + 1):
         b = n - a
+        full = (1 << b) - 1
         for packed in _doubly_sorted(a, b):
-            edges = tuple(
-                (i, a + j)
-                for i in range(a)
-                for j in range(b)
-                if (packed >> ((a - 1 - i) * b + j)) & 1
-            )
-            g = Graph(n, edges)
-            if not is_connected(g):
+            rows = [(packed >> ((a - 1 - i) * b)) & full for i in range(a)]
+            if not biadjacency_connected(b, rows):
                 continue
-            code = canonical_form(g)
+            code = biadjacency_code(a, b, rows)
             if code in seen:
                 continue
             seen.add(code)
-            yield code, g
+            yield code, Graph(n, tuple(
+                (i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1
+            ))
 
 
 def enumerate_connected_bipartite(n: int, force: bool = False):

@@ -417,31 +417,83 @@ def max_edges_for_reg(r: int, n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # canonical form
+#
+# A bipartite graph with parts of sizes a <= b is handled as its packed
+# biadjacency rows: a list of a ints, bit j of rows[i] set when row i meets
+# column j.  Enumeration builds candidates in this form; canonical_form
+# packs a Graph into it.
 
 _PERM_GUARD = 200_000
+_MAX_CODE_VERTICES = 255  # the code header stores n in one byte
 
 
-def _wl_colors(neighbors, colors: list[int]) -> list[int]:
-    # iterated neighborhood refinement; ranks are isomorphism-invariant
-    k = len(set(colors))
-    while True:
-        sig = [
-            (colors[v], tuple(sorted(colors[w] for w in neighbors[v])))
-            for v in range(len(colors))
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        colors = [rank[s] for s in sig]
-        k2 = len(set(colors))
-        if k2 == k:
-            return colors
-        k = k2
+def biadjacency_connected(b: int, rows: list[int]) -> bool:
+    """Whether the bipartite graph of the packed rows over b columns is
+    connected (a zero column is an isolated vertex)."""
+    seen, rest = rows[0], rows[1:]
+    while rest:
+        grown = [r for r in rest if r & seen]
+        if not grown:
+            return False
+        rest = [r for r in rest if not r & seen]
+        for r in grown:
+            seen |= r
+    return seen == (1 << b) - 1
 
 
-def _color_classes(colors: list[int]) -> list[list[int]]:
+def _degree_classes(adj: list[int]) -> list[list[int]]:
     classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    return [classes[c] for c in sorted(classes)]
+    for u, r in enumerate(adj):
+        classes.setdefault(r.bit_count(), []).append(u)
+    return [classes[d] for d in sorted(classes)]
+
+
+def _split(classes: list[list[int]], adj: list[int], other: list[list[int]]) -> list[list[int]]:
+    # Split each class by its members' neighbour counts in the other side's
+    # classes.  Members of a class have equal degree, so the count in the
+    # last class follows from the others, and comparing the sorted tuples of
+    # neighbour colours means that more neighbours in an earlier class sort
+    # first.
+    masks = []
+    for members in other[:-1]:
+        mask = 0
+        for w in members:
+            mask |= 1 << w
+        masks.append(mask)
+    out = []
+    for members in classes:
+        if len(members) > 1:
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for u in members:
+                r = adj[u]
+                groups.setdefault(tuple([(r & m).bit_count() for m in masks]), []).append(u)
+            if len(groups) > 1:
+                out += [groups[k] for k in sorted(groups, reverse=True)]
+                continue
+        out.append(members)
+    return out
+
+
+def _refine(rows: list[int], cols: list[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """The ordered refinement classes of the rows and of the columns.
+
+    Iterated neighbourhood refinement from the part colouring: each round
+    ranks every vertex by (its colour, the sorted colours of its
+    neighbours), both sides at once, until no class splits.  The first round
+    orders each side by degree.  Ranks never mix the sides, so each side is
+    ranked on its own and the result does not depend on which part counts
+    as the rows.  A side whose opposite side did not split in the last
+    round cannot split in this one, so it is not examined.
+    """
+    row_classes, col_classes = _degree_classes(rows), _degree_classes(cols)
+    rows_split, cols_split = len(row_classes) > 1, len(col_classes) > 1
+    while rows_split or cols_split:
+        new_rows = _split(row_classes, rows, col_classes) if cols_split else row_classes
+        new_cols = _split(col_classes, cols, row_classes) if rows_split else col_classes
+        rows_split = len(new_rows) > len(row_classes)
+        cols_split = len(new_cols) > len(col_classes)
+        row_classes, col_classes = new_rows, new_cols
+    return row_classes, col_classes
 
 
 def _class_orders(classes: list[list[int]]):
@@ -456,54 +508,78 @@ def _class_orders(classes: list[list[int]]):
         yield [v for part in parts for v in part]
 
 
-def _bipartite_code(g: Graph, row_classes: list[list[int]], col_classes: list[list[int]]) -> bytes:
-    # The code is the row-major biadjacency bit string.  For a fixed row
-    # order it is smallest when each refinement class of columns is sorted by
-    # its column vector, first row most significant, so only the row orders
-    # are scanned.
-    a, b = sum(map(len, row_classes)), sum(map(len, col_classes))
+def _min_row_major(a: int, b: int, row_bits: list[str], row_classes: list[list[int]],
+                   col_classes: list[list[int]]) -> str:
+    # The smallest row-major bit string of the a x b matrix whose row i reads
+    # row_bits[i] (char j is column j), over the orders of the rows within
+    # their classes.  For a fixed row order it is smallest when each column
+    # class is sorted by its column vector, first row most significant, so
+    # only the row orders are scanned.  Bits are '0'/'1' characters, so the
+    # column vectors and the transpose back to rows are string slices.
+    best = None
+    for order in _class_orders(row_classes):
+        matrix = "".join([row_bits[u] for u in order])
+        column = [matrix[j::b] for j in range(b)]
+        by_columns = "".join(["".join(sorted([column[j] for j in members]))
+                              for members in col_classes])
+        code = "".join([by_columns[k::a] for k in range(a)])
+        if best is None or code < best:
+            best = code
+    return best
 
-    def row_major(row_order: list[int]) -> int:
-        row_weight = {u: 1 << (a - 1 - k) for k, u in enumerate(row_order)}
-        column = lambda w: sum(row_weight[u] for u in g.neighbors[w])
-        col_order = [w for members in col_classes for w in sorted(members, key=column)]
-        weight = {w: 1 << (b - 1 - k) for k, w in enumerate(col_order)}
-        num = 0
-        for u in row_order:
-            num = (num << b) | sum(weight[w] for w in g.neighbors[u])
-        return num
 
-    best = min(map(row_major, _class_orders(row_classes)))
-    # header bytes 1, n, |rows|: the layout of every cached atlas code
-    return bytes([1, g.n, a]) + best.to_bytes((a * b + 7) // 8, "big")
+def biadjacency_code(a: int, b: int, rows: list[int]) -> bytes:
+    """Canonical code of the connected bipartite graph whose 1 <= a <= b
+    packed rows span b columns: equal codes iff isomorphic.
+
+    The code is the smallest row-major biadjacency matrix over
+    part-respecting orderings, in both orientations when a == b.  Rows and
+    columns are ordered class by class after one refinement (_refine), and
+    only the row orders within the row classes are scanned.  Raises
+    SizeGuardExceededError before any refinement when a + b exceeds
+    _MAX_CODE_VERTICES, and before the scan when the row classes have more
+    than _PERM_GUARD orders.
+    """
+    n = a + b
+    if n > _MAX_CODE_VERTICES:
+        raise SizeGuardExceededError(
+            f"canonical codes store n in one byte: n = {n} exceeds {_MAX_CODE_VERTICES}"
+        )
+    row_bits = [format(r, f"0{b}b")[::-1] for r in rows]
+    matrix = "".join(row_bits)
+    col_bits = [matrix[j::b] for j in range(b)]
+    cols = [int(c[::-1], 2) for c in col_bits]
+    row_classes, col_classes = _refine(rows, cols)
+    best = _min_row_major(a, b, row_bits, row_classes, col_classes)
+    if a == b:
+        best = min(best, _min_row_major(b, a, col_bits, col_classes, row_classes))
+    # header bytes 1, n, a: the layout of every cached atlas code
+    return bytes([1, n, a]) + int(best, 2).to_bytes((a * b + 7) // 8, "big")
 
 
 def canonical_form(g: Graph) -> bytes:
     """Canonical code of a connected bipartite graph: equal codes iff
     isomorphic.
 
-    The code is the smallest row-major biadjacency matrix over part-respecting
-    orderings, in both orientations when the parts have equal size; the rows
-    are the part that is not larger.  Vertices are ordered class by class
-    after iterated degree refinement, which runs once and serves both
-    orientations.  Only the row orders are scanned: for a fixed row order
-    the smallest code sorts the columns of each class by their column
-    vector.  _PERM_GUARD bounds the product of the row classes'
-    factorials, which is at most (n // 2)!, and raises SizeGuardExceededError
-    beyond it: every graph on at most 17 vertices fits (8! <= _PERM_GUARD),
-    while K_{9,9} and C_18 (9! row orders) do not.
+    The graph is packed into biadjacency rows, the rows being the part that
+    is not larger, and coded by biadjacency_code, the same kernel the atlas
+    enumeration calls on its candidates.  The code is the smallest
+    row-major biadjacency matrix over part-respecting orderings, in both
+    orientations when the parts have equal size.  _PERM_GUARD bounds the
+    product of the row classes' factorials, which is at most (n // 2)!, and
+    raises SizeGuardExceededError beyond it: every graph on at most 17
+    vertices fits (8! <= _PERM_GUARD), while K_{9,9} and C_18 (9! row
+    orders) do not.  The code stores n in one byte, so a graph on more than
+    255 vertices raises SizeGuardExceededError before any refinement.
     Raises NotBipartiteError on an odd cycle and DisconnectedError on a
     disconnected graph.
     """
     parts = bipartition(g)
     if not is_connected(g):
         raise DisconnectedError("canonical forms are computed for connected graphs only")
-    a_set = set(parts.part_a)
-    classes = _color_classes(_wl_colors(g.neighbors, [0 if v in a_set else 1 for v in range(g.n)]))
-    # Refinement never merges the parts, and swapping their start colours relabels each round
-    # increasingly within each part, so either start lists each part's classes in one order.
-    a_classes = [m for m in classes if m[0] in a_set]
-    b_classes = [m for m in classes if m[0] not in a_set]
-    a, b = len(parts.part_a), len(parts.part_b)
-    orientations = ((a_classes, b_classes, a <= b), (b_classes, a_classes, b <= a))
-    return min(_bipartite_code(g, rows, cols) for rows, cols, fits in orientations if fits)
+    if g.n == 1:  # no edge, so no biadjacency row
+        return bytes([1, 1, 0])
+    row_part, col_part = sorted((parts.part_a, parts.part_b), key=len)
+    column = {w: j for j, w in enumerate(col_part)}
+    rows = [sum(1 << column[w] for w in g.neighbors[u]) for u in row_part]
+    return biadjacency_code(len(row_part), len(col_part), rows)

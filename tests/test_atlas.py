@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import toricgraph.atlas as atlas_mod
+import toricgraph.graphs as graphs_mod
 from toricgraph.atlas import (
     CACHE_ENV,
     _doubly_sorted,
@@ -117,6 +119,24 @@ class TestEnumeration:
         assert len(codes) == count  # pairwise non-isomorphic
         for g in graphs:
             assert g.n == n and is_connected(g) and is_bipartite(g)
+
+    def test_builds_a_graph_only_per_class(self, monkeypatch):
+        # candidates stay packed rows: no Graph, bipartition or connectivity
+        # search for the 539 connected candidates on 8 vertices
+        built, calls = [], []
+        real_post_init = Graph.__post_init__
+
+        def counting_post_init(g):
+            built.append(g.n)
+            real_post_init(g)
+
+        monkeypatch.setattr(Graph, "__post_init__", counting_post_init)
+        for mod, name in ((graphs_mod, "bipartition"), (graphs_mod, "is_connected"),
+                          (atlas_mod, "is_connected")):
+            monkeypatch.setattr(mod, name, lambda *args, name=name: calls.append(name))
+        assert len(list(enumerate_connected_bipartite(8))) == 182
+        assert len(built) == 182
+        assert calls == []
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_against_labeled_oracle(self, n):

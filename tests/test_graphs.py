@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from math import comb, factorial
@@ -14,7 +15,8 @@ from toricgraph.graphs import (
     GraphFormatError,
     NotBipartiteError,
     SizeGuardExceededError,
-    _wl_colors,
+    biadjacency_code,
+    biadjacency_connected,
     bipartition,
     canonical_form,
     complete_bipartite,
@@ -80,6 +82,24 @@ def brute_force_cycles(g):
     return out
 
 
+def wl_colors(neighbors, colors):
+    """Reference refinement: iterated neighbourhood refinement on a whole
+    graph, ranking every vertex by (colour, sorted neighbour colours) until
+    the number of classes stops growing; ranks are isomorphism-invariant."""
+    k = len(set(colors))
+    while True:
+        sig = [
+            (colors[v], tuple(sorted(colors[w] for w in neighbors[v])))
+            for v in range(len(colors))
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        colors = [rank[s] for s in sig]
+        k2 = len(set(colors))
+        if k2 == k:
+            return colors
+        k = k2
+
+
 def full_scan_code(g):
     """Reference canonical form of a connected bipartite graph: the smallest
     row-major biadjacency code over every permutation of every refinement
@@ -90,7 +110,7 @@ def full_scan_code(g):
         if 2 * len(rows) > g.n:
             continue
         row_set = set(rows)
-        colors = _wl_colors(g.neighbors, [0 if v in row_set else 1 for v in range(g.n)])
+        colors = wl_colors(g.neighbors, [0 if v in row_set else 1 for v in range(g.n)])
         classes = [[v for v in range(g.n) if colors[v] == c] for c in sorted(set(colors))]
         for perms in itertools.product(*map(itertools.permutations, classes)):
             order = [v for perm in perms for v in perm]
@@ -105,17 +125,23 @@ def full_scan_code(g):
     return best
 
 
-def connected_candidates(n):
-    """The connected graphs the enumerator feeds to canonical_form."""
+def candidates(n):
+    """Every doubly sorted matrix the enumerator builds on n vertices, as
+    (a, b, packed rows, Graph), rows 0..a-1 being part A."""
     for a in range(1, n // 2 + 1):
         b = n - a
         for packed in _doubly_sorted(a, b):
-            g = Graph(n, tuple(
-                (i, a + j) for i in range(a) for j in range(b)
-                if (packed >> ((a - 1 - i) * b + j)) & 1
+            rows = [(packed >> ((a - 1 - i) * b)) & ((1 << b) - 1) for i in range(a)]
+            yield a, b, rows, Graph(n, tuple(
+                (i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1
             ))
-            if is_connected(g):
-                yield g
+
+
+def connected_candidates(n):
+    """The connected graphs the enumerator feeds to the canonical-form kernel."""
+    for _, _, _, g in candidates(n):
+        if is_connected(g):
+            yield g
 
 
 def relabel(g, perm):
@@ -225,6 +251,16 @@ class TestConnectivity:
 
     def test_k33(self):
         assert is_connected(complete_bipartite(3, 3))
+
+    def test_masks_agree_on_every_candidate(self):
+        # the enumerator tests connectivity on the packed rows
+        outcomes = collections.Counter()
+        for n in range(2, 9):
+            for a, b, rows, g in candidates(n):
+                connected = is_connected(g)
+                assert biadjacency_connected(b, rows) == connected
+                outcomes[connected] += 1
+        assert outcomes[False] > 0 and outcomes[True] > 0
 
     def test_single_vertex(self):
         assert is_connected(Graph(1, ()))
@@ -441,6 +477,9 @@ class TestCanonicalForm:
             codes.add(canonical_form(Graph(5, edges)))
         assert len(codes) == 1
 
+    def test_single_vertex(self):
+        assert canonical_form(Graph(1, ())) == bytes([1, 1, 0])
+
     def test_odd_cycle_raises(self):
         with pytest.raises(NotBipartiteError):
             canonical_form(cycle_graph(5))
@@ -507,15 +546,51 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("g", [cycle_graph(6), complete_bipartite(3, 3)], ids=["C6", "K33"])
     def test_refines_once_for_both_orientations(self, g, monkeypatch):
         calls = []
-        real = graphs_mod._wl_colors
+        real = graphs_mod._refine
 
-        def spy(neighbors, colors):
-            calls.append(colors)
-            return real(neighbors, colors)
+        def spy(rows, cols):
+            calls.append(rows)
+            return real(rows, cols)
 
-        monkeypatch.setattr(graphs_mod, "_wl_colors", spy)
+        monkeypatch.setattr(graphs_mod, "_refine", spy)
         canonical_form(g)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_refinement_matches_reference(self, n):
+        # the kernel's ordered classes, rows and columns, against the
+        # whole-graph reference refinement from the part colouring
+        for a, b, rows, g in candidates(n):
+            if not is_connected(g):
+                continue
+            cols = [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(b)]
+            colors = wl_colors(g.neighbors, [0] * a + [1] * b)
+            classes = [[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))]
+            row_classes, col_classes = graphs_mod._refine(rows, cols)
+            assert row_classes == [m for m in classes if m[0] < a]
+            assert col_classes == [[v - a for v in m] for m in classes if m[0] >= a]
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_kernel_matches_canonical_form_of_a_relabeling(self, n):
+        # the enumerator's packed rows and the Graph path give one code
+        rng = random.Random(n)
+        for a, b, rows, g in candidates(n):
+            if not is_connected(g):
+                continue
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert biadjacency_code(a, b, rows) == canonical_form(relabel(g, perm))
+
+    def test_more_than_255_vertices_raise_before_refining(self, monkeypatch):
+        # the code header stores n in one byte
+        assert canonical_form(star(255))[:3] == bytes([1, 255, 1])
+        entered = []
+        monkeypatch.setattr(graphs_mod, "_refine", lambda *args: entered.append("_refine"))
+        monkeypatch.setattr(graphs_mod, "_class_orders", lambda *args: entered.append("_class_orders"))
+        for g in (star(300), path_graph(300)):
+            with pytest.raises(SizeGuardExceededError, match="exceeds 255"):
+                canonical_form(g)
+        assert entered == []
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_either_start_lists_each_part_alike(self, n):
@@ -527,7 +602,7 @@ class TestCanonicalForm:
                 continue
             runs = []
             for start in ([0] * half + [1] * half, [1] * half + [0] * half):
-                colors = _wl_colors(g.neighbors, start)
+                colors = wl_colors(g.neighbors, start)
                 classes = [[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))]
                 runs.append(([m for m in classes if m[0] < half],
                              [m for m in classes if m[0] >= half]))
