@@ -88,7 +88,6 @@ from .betti import (
     euler_numerator,
     invariants_from_betti,
     koszul_homology_dim,
-    standard_monomials,
 )
 from .atlas import (
     AtlasRecord,

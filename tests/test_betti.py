@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from toricgraph import betti, groebner, hilbert, toric
 from toricgraph.atlas import enumerate_connected_bipartite
 from toricgraph.betti import (
-    _int_rank,
+    _column_rank,
     _KoszulContext,
     betti_table,
     betti_to_json_dict,
@@ -17,18 +17,18 @@ from toricgraph.betti import (
     invariants_from_betti,
     koszul_homology_dim,
     render_betti,
-    standard_monomials,
 )
 from toricgraph.graphs import (
     Graph,
     NotBipartiteError,
     SizeGuardExceededError,
     complete_bipartite,
+    cycle_core_graph,
     cycle_graph,
     path_graph,
     star,
 )
-from toricgraph.groebner import _mask, _nf_monomial
+from toricgraph.groebner import _divides, _mask, _nf_monomial
 from toricgraph.hilbert import edge_ring_gb, edge_ring_hilbert, invariant_tuple
 from toricgraph.toric import EmptyEdgeSetError, vertex_degree_vector
 
@@ -55,8 +55,9 @@ def fraction_rank(rows):
 
 
 def elementwise_bareiss_rank(mat):
-    """Rank by fraction-free elimination, one entry at a time: the rank code
-    the Groebner route was first checked with, kept apart from `_int_rank`."""
+    """Rank by fraction-free (Bareiss) elimination, one entry at a time: the
+    rank code the Groebner route was first checked with, kept apart from the
+    sparse column reduction it checks."""
     m = len(mat)
     n = len(mat[0]) if m else 0
     r = 0
@@ -77,6 +78,30 @@ def elementwise_bareiss_rank(mat):
         prev = hc
         r += 1
     return r
+
+
+def sparse_columns(rows):
+    """The columns of a dense matrix as {row: nonzero entry} dicts."""
+    width = len(rows[0]) if rows else 0
+    return [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(width)]
+
+
+def standard_monomials(gb, d):
+    """All degree-d monomials not divisible by a leading monomial of gb;
+    a vector-space basis of the degree-d piece of the quotient."""
+    q = gb.nvars
+    lms = gb.leading_monomials
+    masks = [_mask(m) for m in lms]
+    out = []
+    for combo in combinations_with_replacement(range(q), d):
+        m = [0] * q
+        for v in combo:
+            m[v] += 1
+        m = tuple(m)
+        mm = _mask(m)
+        if not any(masks[i] & mm == masks[i] and _divides(lm, m) for i, lm in enumerate(lms)):
+            out.append(m)
+    return tuple(out)
 
 
 class ReferenceKoszul:
@@ -157,22 +182,39 @@ def reference_betti_entries(g, reg, pdim):
 
 class TestIntRank:
     def test_simple(self):
-        assert _int_rank([[1, 0], [0, 1]]) == 2
-        assert _int_rank([[1, 2], [2, 4]]) == 1
-        assert _int_rank([[0, 0], [0, 0]]) == 0
-        assert _int_rank([]) == 0
+        assert _column_rank(sparse_columns([[1, 0], [0, 1]])) == 2
+        assert _column_rank(sparse_columns([[1, 2], [2, 4]])) == 1
+        assert _column_rank(sparse_columns([[0, 0], [0, 0]])) == 0
+
+    def test_rank_over_the_rationals_not_mod_2(self):
+        assert _column_rank(sparse_columns([[1, 1], [1, -1]])) == 2
+
+    def test_non_unit_pivots(self):
+        # the second column meets a pivot entry 4 with entry 6, then 5
+        assert _column_rank(sparse_columns([[2, 3], [4, 6]])) == 1
+        assert _column_rank(sparse_columns([[2, 3], [4, 5]])) == 2
+
+    def test_zero_columns(self):
+        assert _column_rank([{}, {0: 1}, {}, {0: -2}, {}]) == 1
+
+    def test_empty_matrix(self):
+        assert _column_rank([]) == 0
+        assert _column_rank(sparse_columns([])) == 0
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.integers(1, 5),
-        st.integers(1, 5),
+        st.integers(1, 6),
+        st.integers(1, 6),
         st.data(),
     )
     def test_matches_fraction_oracle(self, m, n, data):
         rows = [
-            [data.draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(m)
+            [data.draw(st.integers(-7, 7)) for _ in range(n)] for _ in range(m)
         ]
-        assert _int_rank([r[:] for r in rows]) == fraction_rank(rows)
+        assert _column_rank(sparse_columns(rows)) == fraction_rank(rows)
+        order = data.draw(st.permutations(range(n)))
+        reordered = [[row[c] for c in order] for row in rows]
+        assert _column_rank(sparse_columns(reordered)) == fraction_rank(rows)
 
 
 class TestStandardMonomials:
@@ -242,6 +284,23 @@ class TestKoszulHomology:
         with pytest.raises(SizeGuardExceededError):
             koszul_homology_dim(complete_bipartite(4, 4), 8, 11)
 
+    @pytest.mark.parametrize("g, reg, pdim", [
+        (cycle_core_graph(10, 3, 4), 3, 4),
+        (complete_bipartite(4, 4), 3, 9),
+    ], ids=["gnrp-10-3-4", "K44"])
+    def test_table_guard_fires_before_any_rank(self, monkeypatch, g, reg, pdim):
+        calls = []
+        rank = _KoszulContext.rank
+
+        def spy(self, i, j):
+            calls.append((i, j))
+            return rank(self, i, j)
+
+        monkeypatch.setattr(_KoszulContext, "rank", spy)
+        with pytest.raises(SizeGuardExceededError):
+            betti_table(g, reg, pdim)
+        assert calls == []
+
     @pytest.mark.parametrize("cell", [
         lambda g: koszul_homology_dim(g, 1, 2),
         lambda g: betti_table(g, 1, 1),
@@ -265,6 +324,18 @@ class TestBettiTable:
     def test_k23(self):
         table = betti_table(complete_bipartite(2, 3), 1, 2)
         assert table.entries == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
+
+    @pytest.mark.parametrize("b", [3, 4, 5])
+    def test_eagon_northcott(self, b):
+        # K_{2,b}: the 2-minors of a 2 x b matrix, reg 1 and pdim b - 1
+        expected = {(0, 0): 1}
+        expected.update({(i, i + 1): i * comb(b, i + 1) for i in range(1, b)})
+        assert betti_table(complete_bipartite(2, b), 1, b - 1).entries == expected
+
+    def test_k33_segre(self):
+        # q = 9: the Segre embedding of P2 x P2, as pinned by CI
+        assert betti_table(complete_bipartite(3, 3), 2, 4).entries == {
+            (0, 0): 1, (1, 2): 9, (2, 3): 16, (3, 4): 9, (4, 6): 1}
 
     def test_invariants_from_betti(self):
         assert invariants_from_betti(betti_table(cycle_graph(6), 2, 1)) == (2, 1)
@@ -294,7 +365,7 @@ class TestAgainstGroebnerRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("the Betti oracle took the Groebner route")
 
-        for module, name in [(betti, "edge_ring_gb"), (betti, "standard_monomials"),
+        for module, name in [(betti, "edge_ring_gb"),
                              (hilbert, "buchberger"), (groebner, "buchberger"),
                              (groebner, "_nf_monomial"), (toric, "vertex_degree_vector")]:
             monkeypatch.setattr(module, name, refuse)
