@@ -132,16 +132,29 @@ def parse_graph(text: str) -> Graph:
     return Graph(len(labels), tuple(edges))
 
 
+def _json_int(x, what: str) -> int:
+    # type(), not isinstance(): JSON true parses to a bool, a subclass of int
+    if type(x) is not int:
+        raise GraphFormatError(f"{what} must be a JSON integer, got {json.dumps(x)}")
+    return x
+
+
 def parse_graph_json(text: str) -> Graph:
-    """Parse the JSON graph format {"n": int, "edges": [[u, v], ...]}."""
+    """Parse the JSON graph format {"n": int, "edges": [[u, v], ...]}.
+
+    n and every label must be JSON integers: a float, bool or string is
+    rejected, as the edge-list parser rejects a non-integer label.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphFormatError('expected an object with "n" and "edges"')
+    n = _json_int(data["n"], "n")
     try:
-        return Graph(int(data["n"]), tuple((int(u), int(v)) for u, v in data["edges"]))
+        edges = tuple((_json_int(u, "label"), _json_int(v, "label")) for u, v in data["edges"])
+        return Graph(n, edges)
     except (TypeError, ValueError) as exc:
         raise GraphFormatError(str(exc)) from None
 

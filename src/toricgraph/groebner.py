@@ -4,12 +4,12 @@ Everything here is specialized to ideals generated by differences of
 monomials with unit coefficients: reducing a monomial by such a basis yields
 a single monomial, reducing a difference yields a difference or zero, so no
 general polynomial arithmetic is needed.  `buchberger` completes arbitrary
-binomial generators to the reduced basis, pruning S-pairs with the coprime
-and Gebauer-Moeller chain criteria, and `initial_ideal` reads off its
-leading monomials.  The invariant pipeline needs neither: it takes the
-initial ideal from the even-cycle search in `toric`.  Both stay as the
-oracle the pipeline is checked against and as the public API for arbitrary
-binomial ideals.
+binomial generators to the reduced basis by the textbook algorithm, skipping
+only the S-pairs of coprime leading monomials (the product criterion), and
+`initial_ideal` reads off its leading monomials.  The invariant pipeline
+needs neither: it takes the initial ideal from the even-cycle search in
+`toric`.  Both stay as the oracle the pipeline is checked against and as the
+public API for arbitrary binomial ideals.
 """
 
 from __future__ import annotations
@@ -172,9 +172,11 @@ def _reduce(order: MonomialOrder, q: int, lms: list[Monomial], tails: list[Monom
 def buchberger(order: MonomialOrder, gens, nvars: int | None = None) -> ReducedGB:
     """Unique reduced Groebner basis of the ideal generated by `gens`.
 
-    Pair selection is the normal strategy (smallest lcm degree, ties broken
-    by the lcm itself), so the run is deterministic; the output is the
-    reduced basis and hence independent of the generator order entirely.
+    Textbook Buchberger: a pair is skipped only by the product criterion
+    (coprime leading monomials), and pairs are taken by the normal strategy
+    (smallest lcm degree, ties broken by the lcm itself), so the run is
+    deterministic.  The output, the reduced basis, does not depend on the
+    generator order at all.
     """
     gens = list(gens)
     q = _ring_size(gens, nvars)
@@ -183,71 +185,34 @@ def buchberger(order: MonomialOrder, gens, nvars: int | None = None) -> ReducedG
     lms: list[Monomial] = []
     tails: list[Monomial] = []
     masks: list[int] = []
-    alive: set[tuple[int, int]] = set()
     heap: list = []
 
-    def lcm(a: Monomial, b: Monomial) -> Monomial:
-        return tuple(x if x > y else y for x, y in zip(a, b))
+    def add(a: Monomial, b: Monomial) -> None:
+        if key(a) < key(b):
+            a, b = b, a
+        mask = _mask(a)
+        for i, lm in enumerate(lms):
+            if masks[i] & mask:  # product criterion
+                lc = tuple(x if x > y else y for x, y in zip(lm, a))
+                heapq.heappush(heap, (sum(lc), lc, i, len(lms)))
+        lms.append(a)
+        tails.append(b)
+        masks.append(mask)
 
-    def add(plus: Monomial, minus: Monomial) -> None:
-        t = len(lms)
-        lmf = plus
-        # chain criterion on surviving pairs
-        drop = []
-        for i, j in alive:
-            lij = lcm(lms[i], lms[j])
-            if _divides(lmf, lij) and lcm(lms[i], lmf) != lij and lcm(lms[j], lmf) != lij:
-                drop.append((i, j))
-        for p in drop:
-            alive.discard(p)
-        # Gebauer-Moeller filtering of the new pairs (i, t)
-        by_lcm: dict[Monomial, list[int]] = {}
-        for i in range(t):
-            by_lcm.setdefault(lcm(lms[i], lmf), []).append(i)
-        kept: list[Monomial] = []
-        for lc in sorted(by_lcm, key=lambda m: (sum(m), m)):
-            if any(_divides(k, lc) for k in kept):
-                continue
-            kept.append(lc)
-            if any(lcm(lms[i], lmf) == tuple(x + y for x, y in zip(lms[i], lmf))
-                   for i in by_lcm[lc]):
-                continue  # coprime criterion
-            i = min(by_lcm[lc])
-            alive.add((i, t))
-            heapq.heappush(heap, (sum(lc), lc, i, t))
-        lms.append(plus)
-        tails.append(minus)
-        masks.append(_mask(plus))
-
-    def orient(a: Monomial, b: Monomial) -> tuple[Monomial, Monomial]:
-        return (a, b) if key(a) > key(b) else (b, a)
-
-    seed = sorted(
-        (orient(g.plus, g.minus) for g in gens),
-        key=lambda ab: (key(ab[0]), key(ab[1])),
-    )
-    for a, b in seed:
+    seed = [(g.plus, g.minus) if key(g.plus) > key(g.minus) else (g.minus, g.plus) for g in gens]
+    for a, b in sorted(seed, key=lambda ab: (key(ab[0]), key(ab[1]))):
         a = _nf_monomial(a, lms, tails, masks)
         b = _nf_monomial(b, lms, tails, masks)
         if a != b:
-            add(*orient(a, b))
+            add(a, b)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in alive:
-            continue
-        alive.discard((i, j))
-        lc = lcm(lms[i], lms[j])
-        u = tuple(lc[k] - lms[i][k] + tails[i][k] for k in range(q))
-        v = tuple(lc[k] - lms[j][k] + tails[j][k] for k in range(q))
-        if u == v:
-            continue
-        u = _nf_monomial(u, lms, tails, masks)
-        v = _nf_monomial(v, lms, tails, masks)
-        if u == v:
-            continue
-        assert sum(u) == sum(v), "homogeneity lost in S-pair reduction"
-        add(*orient(u, v))
+        _, lc, i, j = heapq.heappop(heap)
+        u, v = (_nf_monomial(tuple(c - x + y for c, x, y in zip(lc, lms[t], tails[t])),
+                             lms, tails, masks) for t in (i, j))
+        if u != v:
+            assert sum(u) == sum(v), "homogeneity lost in S-pair reduction"
+            add(u, v)
 
     return _reduce(order, q, lms, tails)
 

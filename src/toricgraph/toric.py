@@ -9,10 +9,18 @@ carries each cycle's two halves as int edge masks, bit i for e_{i+1}.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .graphs import Cycle, Graph, NotBipartiteError, bipartition, enumerate_cycles
+from .graphs import (
+    Cycle,
+    Graph,
+    NotBipartiteError,
+    SizeGuardExceededError,
+    bipartition,
+    enumerate_cycles,
+)
 
 if TYPE_CHECKING:
     from .groebner import MonomialOrder
@@ -159,10 +167,18 @@ def leading_cycles(g: Graph, order: MonomialOrder) -> tuple[tuple[int, int], ...
     # The root sits at position 0: it trails under degrevlex and leads under
     # lex, so the odd positions lead under degrevlex and the even ones under
     # lex.  Roots by rising rank keep far fewer cycles than the reverse.
-    for root, i in enumerate(by_rank):
-        u, v = g.edges[i]
-        lead, trail = (1 << i, 0) if lex else (0, 1 << i)
-        walk(v, u, root, 1 << u | 1 << v, lead, trail, not lex)
+    # `walk` recurses once per edge, so Python's recursion limit caps the
+    # length of a cycle it can grow.
+    try:
+        for root, i in enumerate(by_rank):
+            u, v = g.edges[i]
+            lead, trail = (1 << i, 0) if lex else (0, 1 << i)
+            walk(v, u, root, 1 << u | 1 << v, lead, trail, not lex)
+    except RecursionError:
+        raise SizeGuardExceededError(
+            f"a cycle is too long for the recursive cycle search "
+            f"(recursion limit {sys.getrecursionlimit()})"
+        ) from None
     return tuple(found)
 
 

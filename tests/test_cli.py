@@ -73,6 +73,15 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", "--family", "gnrp", "--params", "10", "3", "10")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["invariants", "betti"])
+    def test_cycle_past_the_recursion_limit_exits_1(self, capsys, command):
+        # the cycle search recurses once per edge; C_1200 is past Python's
+        # default limit and must fail through main's exit codes
+        code, out, err = run(capsys, command, "--family", "cycle", "--params", "1200")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestConstruct:
     def test_gnrp_text(self, capsys):
@@ -94,6 +103,13 @@ class TestConstruct:
         code, out, _ = run(capsys, "construct", "--family", "realizing", "--params", "2", "7", "--json")
         assert code == 0
         assert json.loads(out)["n"] == 11
+
+    def test_float_json_label_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "float.json"
+        path.write_text('{"n": 2, "edges": [[0.5, 1]]}')
+        code, out, err = run(capsys, "construct", "--graph", str(path))
+        assert code == 2 and out == ""
+        assert "JSON integer" in err
 
 
 class TestEnumerate:

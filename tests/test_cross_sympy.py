@@ -6,6 +6,7 @@ comparison is exact, element for element.
 """
 
 import pytest
+from hypothesis import given, settings
 
 sympy = pytest.importorskip("sympy")
 
@@ -14,16 +15,18 @@ from toricgraph.graphs import complete_bipartite, cycle_graph
 from toricgraph.groebner import DEGREVLEX, LEX, buchberger
 from toricgraph.toric import toric_generators
 
+from test_groebner import binomial_ideals
+
 ORDERS = [(DEGREVLEX, "grevlex"), (LEX, "lex")]
 
 
-def sympy_gb_pairs(g, order_name):
-    xs = sympy.symbols(f"e1:{g.q + 1}")
+def sympy_gb_pairs(q, gens, order_name):
+    xs = sympy.symbols(f"e1:{q + 1}")
 
     def mono(m):
         return sympy.prod([xs[i] ** e for i, e in enumerate(m)], start=sympy.Integer(1))
 
-    polys = [mono(b.plus) - mono(b.minus) for b in toric_generators(g).generators]
+    polys = [mono(b.plus) - mono(b.minus) for b in gens]
     if not polys:
         return set()
     out = set()
@@ -37,8 +40,8 @@ def sympy_gb_pairs(g, order_name):
     return out
 
 
-def our_gb_pairs(g, order):
-    gb = buchberger(order, toric_generators(g).generators, nvars=g.q)
+def our_gb_pairs(q, gens, order):
+    gb = buchberger(order, gens, nvars=q)
     return {(b.plus, b.minus) for b in gb.elements}
 
 
@@ -46,9 +49,19 @@ def our_gb_pairs(g, order):
 def test_named_graphs_match(order, order_name):
     for g in (cycle_graph(6), complete_bipartite(2, 3), complete_bipartite(3, 3),
               complete_bipartite(2, 4)):
-        assert our_gb_pairs(g, order) == sympy_gb_pairs(g, order_name)
+        gens = toric_generators(g).generators
+        assert our_gb_pairs(g.q, gens, order) == sympy_gb_pairs(g.q, gens, order_name)
 
 
 def test_all_six_vertex_graphs_match_grevlex():
     for g in enumerate_connected_bipartite(6):
-        assert our_gb_pairs(g, DEGREVLEX) == sympy_gb_pairs(g, "grevlex"), g.edges
+        gens = toric_generators(g).generators
+        assert our_gb_pairs(g.q, gens, DEGREVLEX) == sympy_gb_pairs(g.q, gens, "grevlex"), g.edges
+
+
+@pytest.mark.parametrize("order,order_name", ORDERS)
+@settings(max_examples=10, deadline=None)
+@given(binomial_ideals())
+def test_random_binomial_ideals_match(order, order_name, ideal):
+    q, gens = ideal
+    assert our_gb_pairs(q, gens, order) == sympy_gb_pairs(q, gens, order_name)

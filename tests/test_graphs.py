@@ -221,6 +221,16 @@ class TestParse:
         with pytest.raises(GraphFormatError):
             parse_graph_json('{"n": 2, "edges": [[0, 0]]}')
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 2.7, "edges": [[0.9, 1.2]]}',
+        '{"n": 2, "edges": [[true, 0]]}',
+        '{"n": "2", "edges": [["0", "1"]]}',
+    ])
+    def test_json_accepts_integers_only(self, text):
+        # int() would truncate 0.9 to 0 and read true as 1
+        with pytest.raises(GraphFormatError, match="JSON integer"):
+            parse_graph_json(text)
+
 
 class TestBipartition:
     def test_c4(self):

@@ -55,6 +55,25 @@ def assert_reduced_groebner_basis(order, gb, gens):
         assert normal_form(order, elements, oriented) is None
 
 
+@st.composite
+def binomial_ideals(draw):
+    """(q, gens): 1-6 homogeneous pure-difference binomials of degree 1-3 in
+    2-6 variables, plus != minus.  Unlike cycle binomials these are not a
+    Groebner basis to begin with, so most S-pairs do real work."""
+    q = draw(st.integers(2, 6))
+
+    def monomials(d):  # exponent vectors of degree d
+        return st.lists(st.integers(0, q - 1), min_size=d, max_size=d).map(
+            lambda vs: tuple(vs.count(k) for k in range(q)))
+
+    gens = []
+    for _ in range(draw(st.integers(1, 6))):
+        d = draw(st.integers(1, 3))
+        plus = draw(monomials(d))
+        gens.append(Binomial(plus, draw(monomials(d).filter(lambda m: m != plus))))
+    return q, gens
+
+
 class TestCompare:
     def test_degrevlex_alternating(self):
         assert compare(DEGREVLEX, (1, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 1)) == GT
@@ -169,6 +188,30 @@ class TestBuchberger:
         for b in gb.elements:
             assert sum(b.plus) == sum(b.minus)
         assert_reduced_groebner_basis(DEGREVLEX, gb, gens)
+
+
+class TestBuchbergerBinomialIdeals:
+    """Random binomial ideals that are not toric ideals of graphs."""
+
+    @pytest.mark.parametrize("order", [DEGREVLEX, DEGLEX, LEX], ids=lambda o: o.kind)
+    @settings(max_examples=40, deadline=None)
+    @given(binomial_ideals(), st.randoms())
+    def test_reduced_basis_independent_of_generator_order(self, order, ideal, rng):
+        q, gens = ideal
+        gb = buchberger(order, gens, nvars=q)
+        assert_reduced_groebner_basis(order, gb, gens)
+        rng.shuffle(gens)
+        assert buchberger(order, gens, nvars=q) == gb
+
+    def test_s_pair_creates_a_new_element(self):
+        # x1 x2 - x3^2 and x1 x3 - x2^2 (lex): neither leading monomial
+        # divides the other, and their S-pair x2^3 - x3^3 joins the basis
+        gb = buchberger(LEX, [Binomial((1, 1, 0), (0, 0, 2)), Binomial((1, 0, 1), (0, 2, 0))])
+        assert gb.elements == (
+            Binomial((0, 3, 0), (0, 0, 3)),
+            Binomial((1, 0, 1), (0, 2, 0)),
+            Binomial((1, 1, 0), (0, 0, 2)),
+        )
 
 
 class TestReduceUniversal:

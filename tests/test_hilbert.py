@@ -370,6 +370,10 @@ class TestInvariantTuple:
     def test_k33(self):
         assert invariant_tuple(complete_bipartite(3, 3)).as_tuple() == (2, 2, 4, 5, 5)
 
+    def test_long_cycle(self):
+        # the cycle search recurses once per edge, well inside the default limit
+        assert invariant_tuple(cycle_graph(500)).as_tuple() == (249, 249, 1, 499, 499)
+
     def test_trees(self):
         assert invariant_tuple(star(5)).as_tuple() == (0, 0, 0, 4, 4)
         assert invariant_tuple(path_graph(7)).as_tuple() == (0, 0, 0, 6, 6)

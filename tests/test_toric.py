@@ -6,6 +6,7 @@ from toricgraph.atlas import enumerate_connected_bipartite
 from toricgraph.graphs import (
     Graph,
     NotBipartiteError,
+    SizeGuardExceededError,
     complete_bipartite,
     complete_core_graph,
     cycle_core_graph,
@@ -181,6 +182,11 @@ class TestLeadingCycleBinomials:
     def test_tree_yields_nothing(self):
         for order in (DEGREVLEX, LEX):
             assert leading_cycles(path_graph(6), order) == ()
+
+    def test_cycle_past_the_recursion_limit_is_a_size_guard(self):
+        for order in (DEGREVLEX, LEX):
+            with pytest.raises(SizeGuardExceededError, match="recursion limit"):
+                leading_cycles(cycle_graph(1200), order)
 
 
 class TestDegreeVector:
