@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, prod
@@ -232,12 +233,20 @@ def enumerate_cycles(g: Graph) -> tuple[Cycle, ...]:
                 path.pop()
                 on_path[w] = 0
 
-    for s in range(g.n):
-        path.clear()
-        path.append(s)
-        on_path[s] = 1
-        extend(s, s)
-        on_path[s] = 0
+    # `extend` recurses once per vertex, so Python's recursion limit caps the
+    # length of a cycle it can grow
+    try:
+        for s in range(g.n):
+            path.clear()
+            path.append(s)
+            on_path[s] = 1
+            extend(s, s)
+            on_path[s] = 0
+    except RecursionError:
+        raise SizeGuardExceededError(
+            f"a cycle is too long for the recursive cycle enumeration "
+            f"(recursion limit {sys.getrecursionlimit()})"
+        ) from None
 
     found.sort(key=lambda vs: (len(vs), vs))
     return tuple(cycle_from_vertices(g, vs) for vs in found)

@@ -9,11 +9,20 @@ drops the halves that contain another.  No tail is reduced and no exponent
 tuple is built.  The full cycle enumeration (`toric_generators`) stays as the
 reference and feeds Buchberger's algorithm, the oracle `edge_ring_gb`.  The
 Hilbert numerator N(t) with HS = N(t)/(1-t)^q is computed on squarefree
-masks by the pivot-variable recursion N(I) = N(I + <x>) + t*N(I : x);
-`hilbert_numerator` takes an arbitrary monomial ideal to that form by
-polarization, which keeps the graded Betti numbers and so the numerator
-(x_i^k becomes k bits).  The series has a pole of order dim at
-t = 1 (Bruns-Herzog, *Cohen-Macaulay Rings*, 4.1), so dividing N by (1-t)
+masks by the pivot-variable recursion N(I) = N(I + <x>) + t*N(I : x)
+(Bayer-Stillman, "Computation of Hilbert functions", 1992; Bigatti,
+"Computation of Hilbert-Poincare series", 1997).  The pivot x is the bit
+that most generators share, the lowest one on ties; it is found by counting
+each generator's bits of the overlap, the bits that two supports share.  For
+minimal generators G, I : x is the minimal set of {m - x : x in m} plus every
+generator without x that none of those divides: a generator without x that
+divided some m - x would divide m, so the union needs no further
+minimalization.  A leaf, a complete intersection, adds its product of
+(1 - t^deg) into one coefficient list at its colon depth, and the list is
+trimmed once at the root.  `hilbert_numerator` takes an arbitrary monomial
+ideal to that form by polarization, which keeps the graded Betti numbers and
+so the numerator (x_i^k becomes k bits).  The series has a pole of order dim
+at t = 1 (Bruns-Herzog, *Cohen-Macaulay Rings*, 4.1), so dividing N by (1-t)
 while it vanishes at 1 gives the h-polynomial and the Krull dimension in one
 step: dim is q minus the number of divisions.  `krull_dimension`, the
 smallest transversal of the generator supports, is kept as its oracle.
@@ -86,17 +95,14 @@ def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     return poly_trim(out)
 
 
-def _poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
-    n = max(len(a), len(b))
-    return poly_trim(tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                           for i in range(n)))
-
-
 def _minimal(masks) -> list[int]:
     """The inclusion-minimal sets among masks, duplicates dropped."""
     kept: list[int] = []
     for m in sorted(set(masks), key=int.bit_count):
-        if all(k & m != k for k in kept):
+        for k in kept:  # a plain loop: about twice as fast as all()
+            if k & m == k:
+                break
+        else:
             kept.append(m)
     return kept
 
@@ -113,24 +119,69 @@ def _polarize(gens: tuple[Monomial, ...]) -> list[int]:
 
 
 def _numerator(gens: list[int]) -> IntPoly:
-    union = overlap = 0
+    """Hilbert numerator of the quotient by the squarefree ideal with minimal
+    generators gens."""
+    support = 0
     for m in gens:
-        overlap |= m & union
-        union |= m
-    if not overlap:
-        # complete intersection: pairwise disjoint supports
-        out: IntPoly = (1,)
+        support |= m
+    # a colon step removes its pivot from the union of the supports, and a
+    # leaf's degree is the size of that union, so no leaf reaches past it
+    acc = [0] * (support.bit_count() + 1)
+
+    def add(gens: list[int], shift: int) -> None:
+        union = overlap = 0
         for m in gens:
-            if not m:
-                return ()  # unit ideal, zero quotient
-            out = poly_mul(out, (1,) + (0,) * (m.bit_count() - 1) + (-1,))
-        return out
-    # the most frequent bit lies in two supports, so it is a bit of overlap
-    pivot = max((1 << i for i in range(overlap.bit_length())),
-                key=lambda x: sum(1 for m in gens if m & x))
-    left = [m for m in gens if not m & pivot] + [pivot]
-    colon = _minimal([m & ~pivot for m in gens])
-    return _poly_add(_numerator(left), (0,) + _numerator(colon))
+            overlap |= m & union
+            union |= m
+        if not overlap:
+            # complete intersection: pairwise disjoint supports
+            out = [1]
+            for m in gens:
+                if not m:
+                    return  # unit ideal, zero quotient
+                pad = [0] * m.bit_count()
+                out = [a - b for a, b in zip(out + pad, pad + out)]  # times 1 - t^k
+            for i, c in enumerate(out, shift):
+                acc[i] += c
+            return
+        # the most frequent bit, lowest on ties; it lies in two supports, so
+        # counting the bits of overlap only finds it
+        count: dict[int, int] = {}
+        for m in gens:
+            b = m & overlap
+            while b:
+                x = b & -b
+                count[x] = count.get(x, 0) + 1
+                b ^= x
+        best = 0
+        b = overlap
+        while b:
+            x = b & -b
+            if count[x] > best:
+                best, pivot = count[x], x
+            b ^= x
+        others, reduced = [], []
+        for m in gens:
+            if m & pivot:
+                reduced.append(m ^ pivot)
+            else:
+                others.append(m)
+        # I : x keeps a generator without x unless a reduced one divides it;
+        # none of those divides a reduced m - x, as it would then divide m
+        reduced = _minimal(reduced)
+        colon = reduced[:]
+        for m in others:
+            for r in reduced:
+                if r & m == r:
+                    break
+            else:
+                colon.append(m)
+        others.append(pivot)
+        add(others, shift)  # I + <x>
+        add(colon, shift + 1)
+
+    add(gens, 0)
+    return poly_trim(acc)
 
 
 def hilbert_numerator(ideal: MonomialIdeal, q: int) -> IntPoly:
@@ -233,7 +284,13 @@ def _in_kernel(g: Graph, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int,
     packed = [1 << s * u | 1 << s * v for u, v in g.edges]
 
     def image(mask: int) -> int:
-        return sum(p for i, p in enumerate(packed) if mask >> i & 1)
+        # a mask holds about half a cycle's edges: walk its set bits, not all q
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += packed[low.bit_length() - 1]
+            mask ^= low
+        return total
 
     for lead, trail in pairs:
         assert lead != trail and image(lead) == image(trail), "cycle escaped the kernel"

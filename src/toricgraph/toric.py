@@ -158,9 +158,11 @@ def leading_cycles(g: Graph, order: MonomialOrder) -> tuple[tuple[int, int], ...
                 nlead, ntrail = lead, trail | 1 << i
             if w == target:
                 found.append((nlead, ntrail))
-                for j in range(q):
-                    if nlead >> j & 1:
-                        kept_with[j].append(nlead)
+                b = nlead
+                while b:  # register it under each of its edges
+                    low = b & -b
+                    kept_with[low.bit_length() - 1].append(nlead)
+                    b ^= low
             elif not on_path >> w & 1:
                 walk(w, target, root, on_path | 1 << w, nlead, ntrail, not leads)
 

@@ -309,6 +309,13 @@ class TestEnumerateCycles:
             assert c.vertices[1] < c.vertices[-1]
             assert len(set(c.edge_indices)) == c.length
 
+    def test_cycle_past_the_recursion_limit_is_a_size_guard(self):
+        # the search recurses once per vertex
+        with pytest.raises(SizeGuardExceededError, match="recursion limit"):
+            enumerate_cycles(cycle_graph(1200))
+        (c,) = enumerate_cycles(cycle_graph(500))
+        assert c.length == 500
+
     @settings(max_examples=60, deadline=None)
     @given(bipartite_graphs())
     def test_bipartite_cycles_even_and_complete(self, g):

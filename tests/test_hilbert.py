@@ -29,7 +29,7 @@ from toricgraph.hilbert import (
     InexactDivisionError,
     _in_kernel,
     _minimal,
-    _poly_add,
+    _numerator,
     a_invariant,
     codegree,
     dim_and_h,
@@ -84,6 +84,12 @@ def reference_minimalize(gens):
     return tuple(kept)
 
 
+def poly_add(a, b):
+    n = max(len(a), len(b))
+    return poly_trim(tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                           for i in range(n)))
+
+
 def reference_numerator(gens):
     if not gens:
         return (1,)
@@ -118,7 +124,7 @@ def reference_numerator(gens):
         tuple(m[:pivot] + (m[pivot] - 1,) + m[pivot + 1:] if m[pivot] else m for m in gens)
     )
     right = reference_numerator(colon)
-    return _poly_add(reference_numerator(left), (0,) + right)
+    return poly_add(reference_numerator(left), (0,) + right)
 
 
 def reference_min_transversal(supports):
@@ -200,6 +206,38 @@ class TestAgainstReference:
         q, raw = drawn
         gens = reference_minimalize(m for m in raw if sum(m) > 0)
         assert_matches_reference(MonomialIdeal(q, gens), q)
+
+
+def as_exponents(masks, q):
+    return tuple(sorted(tuple(m >> i & 1 for i in range(q)) for m in masks))
+
+
+class TestMaskNumerator:
+    """`_numerator` on squarefree masks against the exponent-tuple recursion,
+    with up to 20 generators on up to 16 bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(6, 16).flatmap(lambda q: st.tuples(
+            st.just(q),
+            st.lists(st.integers(1, (1 << q) - 1), min_size=2, max_size=20),
+        ))
+    )
+    def test_random_squarefree_ideals(self, drawn):
+        q, raw = drawn
+        gens = _minimal(raw)
+        assert _numerator(gens) == reference_numerator(as_exponents(gens, q))
+
+    def test_empty_ideal(self):
+        assert _numerator([]) == reference_numerator(()) == (1,)
+
+    def test_single_bit_generator(self):
+        assert _numerator([1 << 3]) == reference_numerator(as_exponents([1 << 3], 6)) == (1, -1)
+
+    def test_unit_generator(self):
+        gens = _minimal([0b101, 0, 0b11])
+        assert gens == [0]
+        assert _numerator(gens) == reference_numerator(as_exponents(gens, 3)) == ()
 
 
 class TestKernelCheck:

@@ -187,6 +187,8 @@ class TestLeadingCycleBinomials:
         for order in (DEGREVLEX, LEX):
             with pytest.raises(SizeGuardExceededError, match="recursion limit"):
                 leading_cycles(cycle_graph(1200), order)
+        with pytest.raises(SizeGuardExceededError, match="recursion limit"):
+            toric_generators(cycle_graph(1200))
 
 
 class TestDegreeVector:
