@@ -325,13 +325,11 @@ def sweep(
     missing = [(code, g) for code, g, rec in classes if rec is None]
     busy = missing or (with_betti_oracle and any(g.q <= 8 for g, _ in rows))
     with Pool(jobs) if jobs > 1 and busy else nullcontext() as pool:
-        if pool:
-            # one task per graph is mostly IPC (about 1 ms of work each at n = 9);
-            # 16 chunks keep the workers busy and the records streaming in order
-            recs = pool.imap(_analyze_edges, [(g.n, g.edges, code) for code, g in missing],
-                             chunksize=max(1, len(missing) // 16))
-        else:
-            recs = (analyze_graph(g, code) for code, g in missing)
+        tasks = [(g.n, g.edges, code) for code, g in missing]
+        # one task per graph is mostly IPC (about 1 ms of work each at n = 9);
+        # 16 chunks keep the workers busy and the records streaming in order
+        recs = (pool.imap(_analyze_edges, tasks, chunksize=max(1, len(tasks) // 16))
+                if pool else map(_analyze_edges, tasks))
         for (_, g), rec in zip(missing, recs):
             rows.append((g, rec))
             if use_cache:

@@ -11,10 +11,12 @@ vertex-degree vectors; in multidegree md the complex is that of the
 squarefree divisor complex {T : md - deg T in the semigroup} (Miller and
 Sturmfels, *Combinatorial Commutative Algebra*, 2005, section 9.1), so every
 rank splits into many small blocks, each the simplicial boundary matrix of
-that complex.  A block's rank is taken by exact sparse column reduction over
-the rationals (Edelsbrunner and Harer, *Computational Topology*, 2010,
-VII.1), done in Python integers with fraction-free steps: no modular or
-floating-point arithmetic.
+that complex.  One walk over the i-subsets T of the edges builds every block
+of a rank: T's boundary column joins the block deg T + s for each s in the
+semigroup layer, and no Koszul basis is stored.  A block's rank is taken by
+exact sparse column reduction over the rationals (Edelsbrunner and Harer,
+*Computational Topology*, 2010, VII.1), done in Python integers with
+fraction-free steps: no modular or floating-point arithmetic.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ class BettiTable:
 
 class _KoszulContext:
     """Per-graph tables shared by the cells of one `betti_table` call: the
-    semigroup layers, the Koszul bases keyed by multidegree, and the
-    differential ranks, for internal degrees up to j_max."""
+    semigroup layers and the differential ranks, for internal degrees up to
+    j_max.  A rank's blocks are built, reduced and dropped inside `rank`;
+    no Koszul basis is kept."""
 
     def __init__(self, g: Graph, j_max: int):
         if g.q == 0:
@@ -58,7 +61,6 @@ class _KoszulContext:
         w = max(j_max, 1).bit_length()
         self._deg = [1 << w * u | 1 << w * v for u, v in g.edges]
         self._semigroup: list[list[int]] = [[0]]
-        self._layers: dict[tuple[int, int], dict[int, list[int]]] = {}
         self._ranks: dict[tuple[int, int], int] = {}
 
     def semigroup(self, d: int) -> list[int]:
@@ -72,52 +74,30 @@ class _KoszulContext:
             layers.append(sorted({s + e for s in layers[-1] for e in self._deg}))
         return layers[d]
 
-    def layer(self, i: int, j: int) -> dict[int, list[int]]:
-        """Basis of homological degree i, internal degree j, in blocks keyed
-        by multidegree deg T + s: an element (T, s), T an i-subset of the
-        edges and s in S_{j-i}, is listed as the mask of T, since s is the
-        block's multidegree minus deg T."""
-        key = (i, j)
-        if key in self._layers:
-            return self._layers[key]
-        q = self.q
-        blocks: dict[int, list[int]] = {}
-        if 0 <= i <= q:
-            elems = self.semigroup(j - i)
-            for t_set in combinations(range(q), i):
-                mask = sum(1 << t for t in t_set)
-                base = sum(self._deg[t] for t in t_set)
-                for s in elems:
-                    blocks.setdefault(base + s, []).append(mask)
-        self._layers[key] = blocks
-        return blocks
-
     def rank(self, i: int, j: int) -> int:
         """Exact rank of the Koszul differential out of (i, j), which sends
-        (T, s) to the alternating sum of (T - t, s + deg t) over t in T.
-        Inside a block s is fixed by T, so the block is the simplicial
-        boundary matrix from its i-subsets to the (i-1)-subsets, whose rows
-        are keyed by the masks T - t."""
+        (T, s), T an i-subset of the edges and s in S_{j-i}, to the
+        alternating sum of (T - t, s + deg t) over t in T: every term has
+        multidegree deg T + s, and inside that block s is fixed by T, so the
+        block is the boundary matrix of its i-subsets, rows keyed by T - t."""
         key = (i, j)
         if key in self._ranks:
             return self._ranks[key]
-        q = self.q
         total = 0
-        if 1 <= i <= q and j - i >= 0:
-            # the boundary of T: dropping its k-th smallest t has sign (-1)**k
-            faces = {}
-            for t_set in combinations(range(q), i):
+        if 1 <= i <= self.q and j - i >= 0:
+            elems = self.semigroup(j - i)
+            blocks: dict[int, list[dict[int, int]]] = {}
+            for t_set in combinations(range(self.q), i):
                 mask = sum(1 << t for t in t_set)
-                faces[mask] = {mask - (1 << t): (-1) ** k for k, t in enumerate(t_set)}
-            cod = self.layer(i - 1, j)
-            for md, delems in self.layer(i, j).items():
-                celems = cod.get(md)
-                assert celems, "differential image left its multidegree block"
-                if len(delems) == 1 or len(celems) == 1:
-                    # every column holds i >= 1 entries +-1, so the block is nonzero
-                    total += 1
-                    continue
-                total += _column_rank(faces[mask].copy() for mask in delems)
+                base = sum(self._deg[t] for t in t_set)
+                # the boundary of T: dropping its k-th smallest t has sign (-1)**k
+                column = {mask - (1 << t): (-1) ** k for k, t in enumerate(t_set)}
+                for s in elems:
+                    blocks.setdefault(base + s, []).append(column)
+            for columns in blocks.values():
+                # every column holds i >= 1 entries +-1, so one column has rank 1;
+                # the reduction works in place on copies, as blocks share columns
+                total += 1 if len(columns) == 1 else _column_rank(c.copy() for c in columns)
         self._ranks[key] = total
         return total
 

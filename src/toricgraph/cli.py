@@ -56,6 +56,10 @@ class _Parser(argparse.ArgumentParser):
 def _jobs(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    # one worker process per CPU at most: a typo must not fork hundreds
+    cap = os.cpu_count() or 1
+    if int(text) > cap:
+        raise argparse.ArgumentTypeError(f"must be at most {cap}, got {text!r}")
     return int(text)
 
 
@@ -256,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--with-betti-oracle", action="store_true")
     p.add_argument("--jobs", type=_jobs, default=1,
-                   help="worker processes for the per-graph analysis and the Betti oracle")
+                   help="worker processes for the per-graph analysis and the Betti "
+                        "oracle, at most the CPU count")
     p.add_argument("--out", metavar="FILE", help="report JSON path")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--force", action="store_true", help="override the size guard")
@@ -276,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="FILE.svg|csv")
     p.add_argument("--source", choices=["theoretical", "computed"], default="theoretical")
     p.add_argument("--jobs", type=_jobs, default=1,
-                   help="worker processes for the per-graph analysis")
+                   help="worker processes for the per-graph analysis, at most the CPU count")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_plot)
     return parser

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import sys
@@ -302,6 +303,34 @@ class TestPlot:
         assert code == 1
         assert "--jobs" in err
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("command, out_name", [
+        (["verify", "--n", "6", "--no-cache"], "r.json"),
+        (["plot", "--n", "6", "--source", "computed"], "r.csv"),
+    ], ids=["verify", "plot"])
+    def test_jobs_above_cpu_count_exit_1_before_the_pool(
+        self, capsys, tmp_path, monkeypatch, command, out_name
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("reached the worker pool")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli.atlas, "Pool", no_pool)
+        out = tmp_path / out_name
+        code, stdout, err = run(capsys, *command, "--jobs", "3", "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert "--jobs: must be at most 2" in err
+        assert not out.exists()
+
+    def test_jobs_bound_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert cli._jobs("2") == 2
+        # an unknown CPU count allows one process
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._jobs("1") == 1
+        with pytest.raises(argparse.ArgumentTypeError, match="must be at most 1"):
+            cli._jobs("2")
 
 
 class TestUsage:
