@@ -68,7 +68,8 @@ class _KoszulContext:
         degree-d piece of the edge ring has the monomials over S_d as basis."""
         if d < 0:
             return []
-        assert d <= self.j_max, f"degree {d} exceeds the field width (j_max={self.j_max})"
+        if d > self.j_max:
+            raise AssertionError(f"degree {d} exceeds the field width (j_max={self.j_max})")
         layers = self._semigroup
         while len(layers) <= d:
             layers.append(sorted({s + e for s in layers[-1] for e in self._deg}))
@@ -183,7 +184,8 @@ def betti_table(g: Graph, reg: int, pdim: int) -> BettiTable:
                     f"declared bounds pdim={pdim}, reg={reg}"
                 )
             entries[(i, i + d)] = b
-    assert entries.get((0, 0)) == 1, "beta_{0,0} must be 1"
+    if entries.get((0, 0)) != 1:
+        raise AssertionError("beta_{0,0} must be 1")
     return BettiTable(entries, pdim, pdim + reg)
 
 

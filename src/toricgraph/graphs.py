@@ -187,14 +187,6 @@ def bipartition(g: Graph) -> Bipartition:
     return Bipartition(part_a, part_b)
 
 
-def is_bipartite(g: Graph) -> bool:
-    try:
-        bipartition(g)
-        return True
-    except NotBipartiteError:
-        return False
-
-
 def is_connected(g: Graph) -> bool:
     seen = bytearray(g.n)
     seen[0] = 1

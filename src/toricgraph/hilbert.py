@@ -293,7 +293,8 @@ def _in_kernel(g: Graph, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int,
         return total
 
     for lead, trail in pairs:
-        assert lead != trail and image(lead) == image(trail), "cycle escaped the kernel"
+        if lead == trail or image(lead) != image(trail):
+            raise AssertionError("cycle escaped the kernel")
     return pairs
 
 
@@ -332,10 +333,10 @@ def invariant_tuple(g: Graph, data: HilbertData | None = None) -> InvariantTuple
     if data is None:
         data = edge_ring_hilbert(g, DEGREVLEX)
     dim = data.krull_dim
-    assert dim == g.n - 1, f"dim {dim} != n-1 = {g.n - 1}"
+    if dim != g.n - 1:
+        raise AssertionError(f"dim {dim} != n-1 = {g.n - 1}")
     deg_h = len(data.h_poly) - 1
-    pdim = g.q - dim
-    assert pdim == g.q - g.n + 1
+    pdim = g.q - dim  # q - n + 1, as dim = n - 1
     return InvariantTuple(deg_h, deg_h, pdim, dim, dim)
 
 

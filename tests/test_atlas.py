@@ -9,6 +9,8 @@ import toricgraph.graphs as graphs_mod
 from toricgraph.atlas import (
     CACHE_ENV,
     _doubly_sorted,
+    _doubly_sorted_forms,
+    _enumerate_with_codes,
     _record_from_json_dict,
     analyze_graph,
     cache_load,
@@ -25,11 +27,14 @@ from toricgraph.atlas import (
 )
 from toricgraph.graphs import (
     Graph,
+    NotBipartiteError,
     SizeGuardExceededError,
+    biadjacency_code,
+    biadjacency_connected,
+    bipartition,
     canonical_form,
     complete_bipartite,
     cycle_graph,
-    is_bipartite,
     is_connected,
     matching_number,
     path_graph,
@@ -76,6 +81,21 @@ def unpack_rows(packed, a, b):
     return tuple((packed >> ((a - 1 - i) * b)) & ((1 << b) - 1) for i in range(a))
 
 
+def reference_split_classes(n):
+    """The enumeration that codes every connected doubly sorted candidate:
+    (a, b, code, members) per class in order of first occurrence, members
+    being the packed candidates of split (a, b) with that code."""
+    classes = {}
+    for a in range(1, n // 2 + 1):
+        b = n - a
+        for packed in _doubly_sorted(a, b):
+            rows = list(unpack_rows(packed, a, b))
+            if biadjacency_connected(b, rows):
+                code = biadjacency_code(a, b, rows)
+                classes.setdefault(code, (a, b, code, []))[3].append(packed)
+    return list(classes.values())
+
+
 def brute_isomorphic(g, h):
     if g.n != h.n or g.q != h.q:
         return False
@@ -102,7 +122,11 @@ def labeled_class_count(n):
             continue
         edges = tuple(e for i, e in enumerate(all_edges) if (mask >> i) & 1)
         g = Graph(n, edges)
-        if not is_connected(g) or not is_bipartite(g):
+        if not is_connected(g):
+            continue
+        try:
+            bipartition(g)
+        except NotBipartiteError:
             continue
         key = (g.q, tuple(sorted(len(g.neighbors[v]) for v in range(n))))
         bucket = buckets.setdefault(key, [])
@@ -119,12 +143,14 @@ class TestEnumeration:
         codes = {canonical_form(g) for g in graphs}
         assert len(codes) == count  # pairwise non-isomorphic
         for g in graphs:
-            assert g.n == n and is_connected(g) and is_bipartite(g)
+            assert g.n == n and is_connected(g)
+            bipartition(g)  # raises NotBipartiteError on an odd cycle
 
     def test_builds_a_graph_only_per_class(self, monkeypatch):
         # candidates stay packed rows: no Graph, bipartition or connectivity
-        # search for the 539 connected candidates on 8 vertices
-        built, calls = [], []
+        # search for the 539 connected candidates on 8 vertices, and one
+        # canonical code per class
+        built, calls, codes = [], [], []
         real_post_init = Graph.__post_init__
 
         def counting_post_init(g):
@@ -132,12 +158,33 @@ class TestEnumeration:
             real_post_init(g)
 
         monkeypatch.setattr(Graph, "__post_init__", counting_post_init)
+        monkeypatch.setattr(atlas_mod, "biadjacency_code",
+                            lambda *args: codes.append(args) or biadjacency_code(*args))
         for mod, name in ((graphs_mod, "bipartition"), (graphs_mod, "is_connected"),
                           (atlas_mod, "is_connected")):
             monkeypatch.setattr(mod, name, lambda *args, name=name: calls.append(name))
         assert len(list(enumerate_connected_bipartite(8))) == 182
         assert len(built) == 182
+        assert len(codes) == 182
         assert calls == []
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_skipping_forms_matches_coding_every_candidate(self, n):
+        classes = reference_split_classes(n)
+        expected = []
+        for a, b, code, members in classes:
+            rows = unpack_rows(min(members), a, b)  # the yielded form
+            expected.append((code, tuple(
+                (i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1)))
+            # from any member, also with its columns reversed, the search
+            # lists exactly the class's candidates; so in each split every
+            # pending form is met once and the pending set ends empty
+            for packed in members:
+                rows = unpack_rows(packed, a, b)
+                flipped = [int(format(r, f"0{b}b")[::-1], 2) for r in rows]
+                assert _doubly_sorted_forms(a, b, rows) == set(members)
+                assert _doubly_sorted_forms(a, b, flipped) == set(members)
+        assert [(code, g.edges) for code, g in _enumerate_with_codes(n)] == expected
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_against_labeled_oracle(self, n):

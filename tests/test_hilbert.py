@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -5,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import toricgraph
 from toricgraph.atlas import enumerate_connected_bipartite
 from toricgraph.graphs import (
     DisconnectedError,
@@ -252,6 +257,30 @@ class TestKernelCheck:
         for bad in ((lead, lead), (lead, trail ^ low), (lead, trail ^ low | outside)):
             with pytest.raises(AssertionError, match="kernel"):
                 _in_kernel(g, pairs[1:] + (bad,))
+
+    def test_check_survives_python_optimize(self):
+        # -O strips assert statements; the kernel check must still raise
+        script = textwrap.dedent("""
+            from toricgraph.graphs import complete_bipartite
+            from toricgraph.groebner import DEGREVLEX
+            from toricgraph.hilbert import _in_kernel, leading_cycles
+
+            assert False, "not reached under -O"
+            g = complete_bipartite(3, 3)
+            pairs = leading_cycles(g, DEGREVLEX)
+            lead, trail = pairs[0]
+            try:
+                _in_kernel(g, pairs[1:] + ((lead, trail ^ trail & -trail),))
+            except AssertionError as exc:
+                print(exc)
+            """)
+        src = os.path.dirname(os.path.dirname(toricgraph.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "cycle escaped the kernel\n"
 
 
 class TestNumerator:
