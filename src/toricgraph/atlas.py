@@ -12,16 +12,17 @@ every run the next row must read 0..01..1, and the run then splits into its
 0-part and its 1-part, so no candidate with unsorted columns is ever built.
 Each split's matrices are sorted lexicographically by row tuple and stay in
 packed form, so the first candidate of a class is its smallest doubly
-sorted form.  Connectivity is tested on the row masks, and the code comes
-from graphs.biadjacency_code (the kernel of canonical_form) with rows
-0..a-1 as part A.  Each class is coded once: _doubly_sorted_forms lists
-the class's other doubly sorted forms, which all come later in the split,
-and each is skipped, uncoded, when it comes.  A Graph is built only for a
-code not seen before; the seen set also keeps a form the search missed from
-yielding its class twice.  So classes are deduplicated by canonical form
-and yielded in order of first candidate.  A connected bipartite graph has a
-unique bipartition up to swapping the parts, so no class appears under two
-splits.
+sorted form, which is the class's canonical code (graphs.canonical_form
+gives every labeling of the class the same code).  Connectivity is tested
+on the row masks.  For a connected candidate of a new class,
+graphs._doubly_sorted_forms lists the class's doubly sorted forms; their
+minimum, the candidate itself, gives the code, and the others all come
+later in the split and are each skipped, untested, when they come.  A
+Graph is built only for a code not seen before; the seen set also keeps a
+form the search missed from yielding its class twice.  So classes are
+deduplicated by canonical form and yielded in order of first candidate.  A
+connected bipartite graph has a unique bipartition up to swapping the
+parts, so no class appears under two splits.
 
 The sweep attaches the full invariant pipeline to every class and checks the
 realized (regularity, pdim) pairs against the closed-form target set
@@ -43,7 +44,8 @@ from .betti import BettiTable, betti_table, euler_numerator, invariants_from_bet
 from .graphs import (
     Graph,
     SizeGuardExceededError,
-    biadjacency_code,
+    _doubly_sorted_forms,
+    _form_code,
     biadjacency_connected,
     canonical_form,  # unused here; perfbench/spans.py rebinds atlas.canonical_form
     is_connected,  # unused here; perfbench/spans.py rebinds atlas.is_connected
@@ -136,59 +138,6 @@ def _doubly_sorted(a: int, b: int) -> list[int]:
     return out
 
 
-def _place_rows(out: set[int], left: list[int], runs: list[tuple[int, int]],
-                bound: int, packed: int, shift: int, b: int) -> None:
-    # Place each distinct row of `left` (sorted, bit j is original column j)
-    # at the next position down, stored at bit `shift` of `packed`.  A run
-    # (lo, mask) holds the original columns in `mask`, tied on every row
-    # placed so far, which sort to positions lo, lo+1, ...; so, as in
-    # _extend_rows, the new row's ones in a run take its top positions and
-    # the run splits into its 0-part and its 1-part.  `bound` is the row
-    # placed last, and no row still to place may end above it.  A row's
-    # value with its ones at the top of every run settles that.  `bound`
-    # reads all 0 or all 1 across each run, so if that value exceeds
-    # `bound`, the row agrees with `bound` on the runs above some run where
-    # `bound` reads 0 and the row has a one; the later rows only reorder
-    # columns inside runs, so the row ends above `bound` and the branch dies.
-    if not left:
-        out.add(packed)
-        return
-    placed = []
-    for i, r in enumerate(left):
-        if i and r == left[i - 1]:
-            continue  # an equal row places the same matrix
-        row, split = 0, []
-        for lo, mask in runs:
-            ones = r & mask
-            hi = lo + mask.bit_count()
-            top = hi - ones.bit_count()
-            row |= (1 << hi) - (1 << top)
-            if ones != mask:
-                split.append((lo, mask ^ ones))
-            if ones:
-                split.append((top, ones))
-        if row > bound:
-            return
-        placed.append((i, row, split))
-    for i, row, split in placed:
-        _place_rows(out, left[:i] + left[i + 1:], split, row, packed | row << shift, shift + b, b)
-
-
-def _doubly_sorted_forms(a: int, b: int, rows: list[int]) -> set[int]:
-    """Every doubly sorted form, packed as by _doubly_sorted, of the class of
-    the connected a x b biadjacency matrix with the given rows: its rows and
-    columns permuted, and transposed too when a == b.  The row order fixes a
-    form, since its columns then sort by column vector, so the search places
-    original rows from position a-1 down, each at most the one before."""
-    full = (1 << b) - 1
-    forms: set[int] = set()
-    _place_rows(forms, sorted(rows), [(0, full)], full, 0, 0, b)
-    if a == b:
-        cols = [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(b)]
-        _place_rows(forms, sorted(cols), [(0, full)], full, 0, 0, b)
-    return forms
-
-
 def _enumerate_with_codes(n: int, force: bool = False):
     _check_guard(n, force)
     seen: set[bytes] = set()
@@ -196,7 +145,7 @@ def _enumerate_with_codes(n: int, force: bool = False):
         b = n - a
         full = (1 << b) - 1
         # the other doubly sorted forms of the classes yielded in this split;
-        # each is met once further on and skipped uncoded
+        # each is met once further on and skipped
         pending: set[int] = set()
         for packed in _doubly_sorted(a, b):
             if packed in pending:
@@ -205,11 +154,12 @@ def _enumerate_with_codes(n: int, force: bool = False):
             rows = [(packed >> ((a - 1 - i) * b)) & full for i in range(a)]
             if not biadjacency_connected(b, rows):
                 continue
-            code = biadjacency_code(a, b, rows)
+            forms = _doubly_sorted_forms(a, b, rows)
+            code = _form_code(a, b, min(forms))
             if code in seen:  # only a form the search missed gets here
                 continue
             seen.add(code)
-            pending |= _doubly_sorted_forms(a, b, rows)
+            pending |= forms
             pending.discard(packed)
             yield code, Graph(n, tuple(
                 (i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1

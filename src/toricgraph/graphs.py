@@ -4,14 +4,16 @@ Plain immutable graphs with a fixed edge order (the edge order fixes the
 polynomial variable order downstream, so every constructor here is
 deterministic), plus cycle enumeration, matchings, the witness-graph
 constructions used to realize prescribed invariants, and a canonical form
-of connected bipartite graphs for isomorphism rejection.
+of connected bipartite graphs for isomorphism rejection: the smallest doubly
+sorted biadjacency matrix of the class, found by the same search that the
+atlas enumeration uses to skip a class's other forms.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, prod
@@ -435,7 +437,10 @@ def max_edges_for_reg(r: int, n: int) -> int:
 # A bipartite graph with parts of sizes a <= b is handled as its packed
 # biadjacency rows: a list of a ints, bit j of rows[i] set when row i meets
 # column j.  Enumeration builds candidates in this form; canonical_form
-# packs a Graph into it.
+# packs a Graph into it.  A doubly sorted form is the a x b matrix, rows and
+# columns permuted (and transposed too when a == b), with nonzero rows
+# r_0 <= ... <= r_{a-1} and ascending columns (row a-1 most significant),
+# packed with r_0 most significant as atlas._doubly_sorted packs.
 
 _PERM_GUARD = 200_000
 _MAX_CODE_VERTICES = 255  # the code header stores n in one byte
@@ -455,120 +460,80 @@ def biadjacency_connected(b: int, rows: list[int]) -> bool:
     return seen == (1 << b) - 1
 
 
-def _degree_classes(adj: list[int]) -> list[list[int]]:
-    classes: dict[int, list[int]] = {}
-    for u, r in enumerate(adj):
-        classes.setdefault(r.bit_count(), []).append(u)
-    return [classes[d] for d in sorted(classes)]
+def _place_rows(out: set[int], left: list[int], runs: list[tuple[int, int]],
+                bound: int, packed: int, shift: int, b: int) -> None:
+    # Place each distinct row of `left` (sorted, bit j is original column j)
+    # at the next position down, stored at bit `shift` of `packed`.  A run
+    # (lo, mask) holds the original columns in `mask`, tied on every row
+    # placed so far, which sort to positions lo, lo+1, ...; so, as in
+    # atlas._extend_rows, the new row's ones in a run take its top positions
+    # and the run splits into its 0-part and its 1-part.  `bound` is the row
+    # placed last, and no row still to place may end above it.  A row's
+    # value with its ones at the top of every run settles that.  `bound`
+    # reads all 0 or all 1 across each run, so if that value exceeds
+    # `bound`, the row agrees with `bound` on the runs above some run where
+    # `bound` reads 0 and the row has a one; the later rows only reorder
+    # columns inside runs, so the row ends above `bound` and the branch dies.
+    if not left:
+        out.add(packed)
+        return
+    placed = []
+    for i, r in enumerate(left):
+        if i and r == left[i - 1]:
+            continue  # an equal row places the same matrix
+        row, split = 0, []
+        for lo, mask in runs:
+            ones = r & mask
+            hi = lo + mask.bit_count()
+            top = hi - ones.bit_count()
+            row |= (1 << hi) - (1 << top)
+            if ones != mask:
+                split.append((lo, mask ^ ones))
+            if ones:
+                split.append((top, ones))
+        if row > bound:
+            return
+        placed.append((i, row, split))
+    for i, row, split in placed:
+        _place_rows(out, left[:i] + left[i + 1:], split, row, packed | row << shift, shift + b, b)
 
 
-def _split(classes: list[list[int]], adj: list[int], other: list[list[int]]) -> list[list[int]]:
-    # Split each class by its members' neighbour counts in the other side's
-    # classes.  Members of a class have equal degree, so the count in the
-    # last class follows from the others, and comparing the sorted tuples of
-    # neighbour colours means that more neighbours in an earlier class sort
-    # first.
-    masks = []
-    for members in other[:-1]:
-        mask = 0
-        for w in members:
-            mask |= 1 << w
-        masks.append(mask)
-    out = []
-    for members in classes:
-        if len(members) > 1:
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for u in members:
-                r = adj[u]
-                groups.setdefault(tuple([(r & m).bit_count() for m in masks]), []).append(u)
-            if len(groups) > 1:
-                out += [groups[k] for k in sorted(groups, reverse=True)]
-                continue
-        out.append(members)
-    return out
+def _row_orders(rows: list[int]) -> int:
+    # a! / prod m_i!, m_i counting equal rows: the row orders _place_rows can place
+    return factorial(len(rows)) // prod(map(factorial, Counter(rows).values()))
 
 
-def _refine(rows: list[int], cols: list[int]) -> tuple[list[list[int]], list[list[int]]]:
-    """The ordered refinement classes of the rows and of the columns.
-
-    Iterated neighbourhood refinement from the part colouring: each round
-    ranks every vertex by (its colour, the sorted colours of its
-    neighbours), both sides at once, until no class splits.  The first round
-    orders each side by degree.  Ranks never mix the sides, so each side is
-    ranked on its own and the result does not depend on which part counts
-    as the rows.  A side whose opposite side did not split in the last
-    round cannot split in this one, so it is not examined.
-    """
-    row_classes, col_classes = _degree_classes(rows), _degree_classes(cols)
-    rows_split, cols_split = len(row_classes) > 1, len(col_classes) > 1
-    while rows_split or cols_split:
-        new_rows = _split(row_classes, rows, col_classes) if cols_split else row_classes
-        new_cols = _split(col_classes, cols, row_classes) if rows_split else col_classes
-        rows_split = len(new_rows) > len(row_classes)
-        cols_split = len(new_cols) > len(col_classes)
-        row_classes, col_classes = new_rows, new_cols
-    return row_classes, col_classes
-
-
-def _class_orders(classes: list[list[int]]):
-    """Every concatenation of one permutation per class, classes in the given
-    order; raises before the first one if there would be more than
-    _PERM_GUARD of them."""
-    if prod(factorial(len(members)) for members in classes) > _PERM_GUARD:
+def _doubly_sorted_forms(a: int, b: int, rows: list[int]) -> set[int]:
+    """Every doubly sorted form of the class of the connected a x b
+    biadjacency matrix with the given rows.  The row order fixes a form,
+    since its columns then sort by column vector, so the search places
+    original rows from position a-1 down, each at most the one before; when
+    a == b it searches the transpose too.  Raises SizeGuardExceededError,
+    before any placement, when a + b exceeds _MAX_CODE_VERTICES or a side
+    searched has more than _PERM_GUARD distinct row orders."""
+    if a + b > _MAX_CODE_VERTICES:
         raise SizeGuardExceededError(
-            f"canonical form would scan more than {_PERM_GUARD} orderings"
+            f"canonical codes store n in one byte: n = {a + b} exceeds {_MAX_CODE_VERTICES}"
         )
-    for parts in itertools.product(*map(itertools.permutations, classes)):
-        yield [v for part in parts for v in part]
-
-
-def _min_row_major(a: int, b: int, row_bits: list[str], row_classes: list[list[int]],
-                   col_classes: list[list[int]]) -> str:
-    # The smallest row-major bit string of the a x b matrix whose row i reads
-    # row_bits[i] (char j is column j), over the orders of the rows within
-    # their classes.  For a fixed row order it is smallest when each column
-    # class is sorted by its column vector, first row most significant, so
-    # only the row orders are scanned.  Bits are '0'/'1' characters, so the
-    # column vectors and the transpose back to rows are string slices.
-    best = None
-    for order in _class_orders(row_classes):
-        matrix = "".join([row_bits[u] for u in order])
-        column = [matrix[j::b] for j in range(b)]
-        by_columns = "".join(["".join(sorted([column[j] for j in members]))
-                              for members in col_classes])
-        code = "".join([by_columns[k::a] for k in range(a)])
-        if best is None or code < best:
-            best = code
-    return best
-
-
-def biadjacency_code(a: int, b: int, rows: list[int]) -> bytes:
-    """Canonical code of the connected bipartite graph whose 1 <= a <= b
-    packed rows span b columns: equal codes iff isomorphic.
-
-    The code is the smallest row-major biadjacency matrix over
-    part-respecting orderings, in both orientations when a == b.  Rows and
-    columns are ordered class by class after one refinement (_refine), and
-    only the row orders within the row classes are scanned.  Raises
-    SizeGuardExceededError before any refinement when a + b exceeds
-    _MAX_CODE_VERTICES, and before the scan when the row classes have more
-    than _PERM_GUARD orders.
-    """
-    n = a + b
-    if n > _MAX_CODE_VERTICES:
-        raise SizeGuardExceededError(
-            f"canonical codes store n in one byte: n = {n} exceeds {_MAX_CODE_VERTICES}"
-        )
-    row_bits = [format(r, f"0{b}b")[::-1] for r in rows]
-    matrix = "".join(row_bits)
-    col_bits = [matrix[j::b] for j in range(b)]
-    cols = [int(c[::-1], 2) for c in col_bits]
-    row_classes, col_classes = _refine(rows, cols)
-    best = _min_row_major(a, b, row_bits, row_classes, col_classes)
+    sides = [rows]
     if a == b:
-        best = min(best, _min_row_major(b, a, col_bits, col_classes, row_classes))
-    # header bytes 1, n, a: the layout of every cached atlas code
-    return bytes([1, n, a]) + int(best, 2).to_bytes((a * b + 7) // 8, "big")
+        sides.append([sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(b)])
+    if max(map(_row_orders, sides)) > _PERM_GUARD:
+        raise SizeGuardExceededError(
+            f"canonical form would place more than {_PERM_GUARD} row orders"
+        )
+    full = (1 << b) - 1
+    forms: set[int] = set()
+    for side in sides:
+        _place_rows(forms, sorted(side), [(0, full)], full, 0, 0, b)
+    return forms
+
+
+def _form_code(a: int, b: int, form: int) -> bytes:
+    """Header bytes 2, n, a, then the packed a x b form, big-endian.  The 2
+    marks this definition: a record cached under an older code (header 1)
+    matches no class, so its class is analyzed again."""
+    return bytes([2, a + b, a]) + form.to_bytes((a * b + 7) // 8, "big")
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -576,24 +541,26 @@ def canonical_form(g: Graph) -> bytes:
     isomorphic.
 
     The graph is packed into biadjacency rows, the rows being the part that
-    is not larger, and coded by biadjacency_code, the same kernel the atlas
-    enumeration calls on its candidates.  The code is the smallest
-    row-major biadjacency matrix over part-respecting orderings, in both
-    orientations when the parts have equal size.  _PERM_GUARD bounds the
-    product of the row classes' factorials, which is at most (n // 2)!, and
-    raises SizeGuardExceededError beyond it: every graph on at most 17
-    vertices fits (8! <= _PERM_GUARD), while K_{9,9} and C_18 (9! row
-    orders) do not.  The code stores n in one byte, so a graph on more than
-    255 vertices raises SizeGuardExceededError before any refinement.
-    Raises NotBipartiteError on an odd cycle and DisconnectedError on a
-    disconnected graph.
+    is not larger, and its code is _form_code of its smallest doubly sorted
+    form: the code the atlas enumeration gives its class.  _PERM_GUARD
+    bounds the distinct row orders, a! / prod m_i! with m_i counting equal
+    rows (and the column orders too when the parts have equal size), and
+    SizeGuardExceededError is raised beyond it before any row is placed.
+    Every graph on at most 17 vertices fits (8! <= _PERM_GUARD), and so does
+    K_{9,9}, whose rows are all equal; a graph whose smaller part has 9 or
+    more distinct rows, such as C_18 or path_graph(18), does not (the
+    refinement-based code of header 1 took path_graph(18) but not K_{9,9}).
+    The code stores n in one byte, so a graph on more than 255 vertices
+    raises SizeGuardExceededError first.  Raises NotBipartiteError on an odd
+    cycle and DisconnectedError on a disconnected graph.
     """
     parts = bipartition(g)
     if not is_connected(g):
         raise DisconnectedError("canonical forms are computed for connected graphs only")
     if g.n == 1:  # no edge, so no biadjacency row
-        return bytes([1, 1, 0])
+        return bytes([2, 1, 0])
     row_part, col_part = sorted((parts.part_a, parts.part_b), key=len)
     column = {w: j for j, w in enumerate(col_part)}
     rows = [sum(1 << column[w] for w in g.neighbors[u]) for u in row_part]
-    return biadjacency_code(len(row_part), len(col_part), rows)
+    a, b = len(row_part), len(col_part)
+    return _form_code(a, b, min(_doubly_sorted_forms(a, b, rows)))

@@ -211,7 +211,8 @@ def buchberger(order: MonomialOrder, gens, nvars: int | None = None) -> ReducedG
         u, v = (_nf_monomial(tuple(c - x + y for c, x, y in zip(lc, lms[t], tails[t])),
                              lms, tails, masks) for t in (i, j))
         if u != v:
-            assert sum(u) == sum(v), "homogeneity lost in S-pair reduction"
+            if sum(u) != sum(v):
+                raise AssertionError("homogeneity lost in S-pair reduction")
             add(u, v)
 
     return _reduce(order, q, lms, tails)

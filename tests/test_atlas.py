@@ -6,10 +6,10 @@ import pytest
 
 import toricgraph.atlas as atlas_mod
 import toricgraph.graphs as graphs_mod
+from reference_code import biadjacency_code, reference_code
 from toricgraph.atlas import (
     CACHE_ENV,
     _doubly_sorted,
-    _doubly_sorted_forms,
     _enumerate_with_codes,
     _record_from_json_dict,
     analyze_graph,
@@ -29,7 +29,8 @@ from toricgraph.graphs import (
     Graph,
     NotBipartiteError,
     SizeGuardExceededError,
-    biadjacency_code,
+    _doubly_sorted_forms,
+    _form_code,
     biadjacency_connected,
     bipartition,
     canonical_form,
@@ -44,16 +45,26 @@ from toricgraph.hilbert import HilbertData, invariant_tuple, poly_mul
 
 KNOWN_CLASS_COUNTS = {2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44}
 
-# sha256 over "<canonical code hex> <edges>\n" per class, in enumeration
-# order: the codes key the JSONL cache and the order is the CLI's output
+# sha256 over "<reference code hex> <edges>\n" per class, in enumeration
+# order: the reference code (tests/reference_code.py) names the classes
+# independently, and the order is the CLI's output
 ENUMERATION_DIGESTS = {
     8: "6b0ed7704fc6ffdb6c4d82667067d2d583fd6b767ddcf3a3e1615e9df921480c",
     9: "8292105089124140084ab010820afc6cc345102e94feff38e01e3fdb51aa095e",
     10: "a4a63b1b74f5dd3cc5d378e7008b0f634f52a539278899dc8ff8736c1536635e",
 }
 
-# sha256 over the JSON cache lines of sweep(n), "seconds" dropped, in sweep
-# order: pins every record field the pipeline computes
+# sha256 over "<canonical code hex> <edges>\n" per class, in enumeration
+# order: the codes key the JSONL cache
+CODE_DIGESTS = {
+    8: "cc165186d952d6dcd22f6fa0d4ca7002a39eed3220f3db000cf5cc300d979846",
+    9: "292e78c10d482ebae40bcb8d960b496e42e62213aa514285ca83ce8e73beff1c",
+    10: "bc3816f1a24a659e3e5007a2d74f59a4fb211c301c8f63d04f3e71b98e8757c0",
+}
+
+# sha256 over the JSON cache lines of sweep(n), "seconds" dropped and each
+# code replaced by the reference code of its class, in reference-code order:
+# pins every record field the pipeline computes
 RECORD_DIGESTS = {
     8: "821dec815bf2dc7c827b50c4d62b5f1dbbc63e94ab8aa14c4328ab79767c4d7b",
     9: "438d681ff75c569d42a6a7039d49a423b91f7e83e7455f20b7b6d749ebd43f46",
@@ -82,9 +93,10 @@ def unpack_rows(packed, a, b):
 
 
 def reference_split_classes(n):
-    """The enumeration that codes every connected doubly sorted candidate:
-    (a, b, code, members) per class in order of first occurrence, members
-    being the packed candidates of split (a, b) with that code."""
+    """The enumeration that codes every connected doubly sorted candidate
+    with the reference code: (a, b, reference code, members) per class in
+    order of first occurrence, members being the packed candidates of split
+    (a, b) with that code."""
     classes = {}
     for a in range(1, n // 2 + 1):
         b = n - a
@@ -149,8 +161,8 @@ class TestEnumeration:
     def test_builds_a_graph_only_per_class(self, monkeypatch):
         # candidates stay packed rows: no Graph, bipartition or connectivity
         # search for the 539 connected candidates on 8 vertices, and one
-        # canonical code per class
-        built, calls, codes = [], [], []
+        # forms search per class
+        built, calls, searches = [], [], []
         real_post_init = Graph.__post_init__
 
         def counting_post_init(g):
@@ -158,23 +170,23 @@ class TestEnumeration:
             real_post_init(g)
 
         monkeypatch.setattr(Graph, "__post_init__", counting_post_init)
-        monkeypatch.setattr(atlas_mod, "biadjacency_code",
-                            lambda *args: codes.append(args) or biadjacency_code(*args))
+        monkeypatch.setattr(atlas_mod, "_doubly_sorted_forms",
+                            lambda *args: searches.append(args) or _doubly_sorted_forms(*args))
         for mod, name in ((graphs_mod, "bipartition"), (graphs_mod, "is_connected"),
                           (atlas_mod, "is_connected")):
             monkeypatch.setattr(mod, name, lambda *args, name=name: calls.append(name))
         assert len(list(enumerate_connected_bipartite(8))) == 182
         assert len(built) == 182
-        assert len(codes) == 182
+        assert len(searches) == 182
         assert calls == []
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_skipping_forms_matches_coding_every_candidate(self, n):
         classes = reference_split_classes(n)
         expected = []
-        for a, b, code, members in classes:
-            rows = unpack_rows(min(members), a, b)  # the yielded form
-            expected.append((code, tuple(
+        for a, b, _, members in classes:
+            rows = unpack_rows(min(members), a, b)  # the yielded form, and its code
+            expected.append((_form_code(a, b, min(members)), tuple(
                 (i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1)))
             # from any member, also with its columns reversed, the search
             # lists exactly the class's candidates; so in each split every
@@ -222,9 +234,17 @@ class TestEnumeration:
     def test_enumeration_order_is_pinned(self, n):
         digest = hashlib.sha256()
         for g in enumerate_connected_bipartite(n):
-            line = canonical_form(g).hex() + " " + " ".join(f"{u}-{v}" for u, v in g.edges)
+            line = reference_code(g).hex() + " " + " ".join(f"{u}-{v}" for u, v in g.edges)
             digest.update((line + "\n").encode())
         assert digest.hexdigest() == ENUMERATION_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", sorted(CODE_DIGESTS))
+    def test_codes_are_pinned(self, n):
+        digest = hashlib.sha256()
+        for code, g in _enumerate_with_codes(n):
+            line = code.hex() + " " + " ".join(f"{u}-{v}" for u, v in g.edges)
+            digest.update((line + "\n").encode())
+        assert digest.hexdigest() == CODE_DIGESTS[n]
 
     def test_doubly_sorted_representative_exists(self):
         # validates the doubly sorted matrices the enumerator generates:
@@ -481,11 +501,12 @@ class TestAnalyzeGraph:
 
     @pytest.mark.parametrize("n", sorted(RECORD_DIGESTS))
     def test_records_are_pinned(self, n):
-        digest = hashlib.sha256()
-        for _, rec in sweep(n, use_cache=False)[0]:
-            d = record_to_json_dict(rec)
+        lines = []
+        for g, rec in sweep(n, use_cache=False)[0]:
+            d = dict(record_to_json_dict(rec), code=reference_code(g).hex())
             del d["seconds"]
-            digest.update((json.dumps(d) + "\n").encode())
+            lines.append((d["code"], json.dumps(d) + "\n"))
+        digest = hashlib.sha256("".join(line for _, line in sorted(lines)).encode())
         assert digest.hexdigest() == RECORD_DIGESTS[n]
 
 
@@ -536,6 +557,27 @@ class TestCache:
         assert {c: r.invariants for c, r in loaded.items()} == {
             r.code: r.invariants for _, r in rows
         }
+
+    def test_record_under_an_older_code_is_analyzed_again(self, tmp_path, monkeypatch):
+        # a line keyed by a header-1 code, as an earlier canonical form wrote
+        # it, matches no class: its wrong reg is never read, the class is
+        # analyzed again and its record appended under the current code
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        fresh = verify(6, use_cache=False)
+        g = cycle_graph(6)
+        rec = analyze_graph(g, canonical_form(g))
+        stale = dict(record_to_json_dict(rec), code=reference_code(g).hex(),
+                     reg=rec.invariants.reg + 1)
+        assert stale["code"][:2] == "01" and rec.code[:2] == "02"
+        path = tmp_path / "atlas-n6.jsonl"
+        path.write_text(json.dumps(stale) + "\n", encoding="utf-8")
+        report = verify(6)
+        assert report.equal and report.counterexamples == ()
+        assert report.property_passes == fresh.property_passes
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert lines[0] == stale and len(lines) == 1 + KNOWN_CLASS_COUNTS[6]
+        (c6,) = [d for d in lines[1:] if d["code"] == rec.code]
+        assert c6["reg"] == rec.invariants.reg
 
     @pytest.mark.parametrize("field, value", [
         ("code", 7), ("q", True), ("mat", 1.0), ("h", "111"), ("h_lex", [1, "1"]),

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_code as reference_mod
 import toricgraph.graphs as graphs_mod
+from reference_code import reference_code
 from toricgraph.atlas import _doubly_sorted
 from toricgraph.graphs import (
     DisconnectedError,
@@ -15,7 +17,8 @@ from toricgraph.graphs import (
     GraphFormatError,
     NotBipartiteError,
     SizeGuardExceededError,
-    biadjacency_code,
+    _doubly_sorted_forms,
+    _form_code,
     biadjacency_connected,
     bipartition,
     canonical_form,
@@ -101,9 +104,10 @@ def wl_colors(neighbors, colors):
 
 
 def full_scan_code(g):
-    """Reference canonical form of a connected bipartite graph: the smallest
-    row-major biadjacency code over every permutation of every refinement
-    class, rows and columns alike, in both orientations for equal parts."""
+    """Full scan for the reference code of a connected bipartite graph: the
+    smallest row-major biadjacency code over every permutation of every
+    refinement class, rows and columns alike, in both orientations for
+    equal parts."""
     parts = bipartition(g)
     best = None
     for rows in (parts.part_a, parts.part_b):
@@ -125,6 +129,31 @@ def full_scan_code(g):
     return best
 
 
+def brute_force_code(g):
+    """The canonical code by its definition: the smallest doubly sorted
+    arrangement of the biadjacency matrix, over every column permutation, in
+    both orientations for equal parts.  For each column permutation the rows
+    are sorted; rows that tie give the same matrix in any order, so this
+    meets every row and column permutation whose result is doubly sorted."""
+    parts = bipartition(g)
+    best = None
+    for row_part, col_part in ((parts.part_a, parts.part_b), (parts.part_b, parts.part_a)):
+        a, b = len(row_part), len(col_part)
+        if a > b:
+            continue
+        for perm in itertools.permutations(col_part):
+            rows = sorted(sum(1 << j for j, w in enumerate(perm) if w in g.neighbors[u])
+                          for u in row_part)
+            cols = [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(b)]
+            if cols != sorted(cols):
+                continue
+            packed = sum(r << ((a - 1 - i) * b) for i, r in enumerate(rows))
+            code = bytes([2, g.n, a]) + packed.to_bytes((a * b + 7) // 8, "big")
+            if best is None or code < best:
+                best = code
+    return best
+
+
 def candidates(n):
     """Every doubly sorted matrix the enumerator builds on n vertices, as
     (a, b, packed rows, Graph), rows 0..a-1 being part A."""
@@ -138,7 +167,7 @@ def candidates(n):
 
 
 def connected_candidates(n):
-    """The connected graphs the enumerator feeds to the canonical-form kernel."""
+    """The connected graphs among the enumerator's candidates."""
     for _, _, _, g in candidates(n):
         if is_connected(g):
             yield g
@@ -495,7 +524,7 @@ class TestCanonicalForm:
         assert len(codes) == 1
 
     def test_single_vertex(self):
-        assert canonical_form(Graph(1, ())) == bytes([1, 1, 0])
+        assert canonical_form(Graph(1, ())) == bytes([2, 1, 0])
 
     def test_odd_cycle_raises(self):
         with pytest.raises(NotBipartiteError):
@@ -515,18 +544,20 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_full_scan(self, n):
-        # the row-only scan against every row and column arrangement, on
-        # the candidates as generated and on a relabeled copy of each
+        # the code against its definition by exhaustion, on the candidates
+        # as generated and on a relabeled copy of each; and the reference's
+        # row-only scan against every row and column arrangement
         rng = random.Random(n)
         for g in connected_candidates(n):
             perm = list(range(n))
             rng.shuffle(perm)
-            expected = full_scan_code(g)
+            expected = brute_force_code(g)
             assert canonical_form(g) == expected
             assert canonical_form(relabel(g, perm)) == expected
+            assert reference_code(g) == full_scan_code(g)
 
     def test_c12_within_guard_and_invariant(self):
-        # 6! row orders; the full scan over columns too would be 6!^2 > _PERM_GUARD
+        # 6! row orders, and as many column orders for the transpose
         g = cycle_graph(12)
         code = canonical_form(g)
         for seed in range(4):
@@ -544,46 +575,49 @@ class TestCanonicalForm:
         assert canonical_form(relabel(g, perm)) == canonical_form(g)
 
     def test_c18_exceeds_the_guard_before_scanning(self, monkeypatch):
-        # 9! = 362,880 row orders > _PERM_GUARD; no row order is yielded
+        # 9 distinct rows, so 9! = 362,880 row orders > _PERM_GUARD: no row
+        # is placed.  The path P_18 has 9 distinct rows too.  With equal
+        # parts the column orders count as well: in the last graph column j
+        # meets the rows k with bit k of j + 1 set, row 0 taken six times,
+        # so 9! / 6! = 504 row orders but 9 distinct columns
         assert factorial(9) > graphs_mod._PERM_GUARD >= factorial(8)
-        calls, yielded = [], []
-        real = graphs_mod._class_orders
-
-        def spy(classes):
-            calls.append(classes)
-            for order in real(classes):
-                yielded.append(order)
-                yield order
-
-        monkeypatch.setattr(graphs_mod, "_class_orders", spy)
-        with pytest.raises(SizeGuardExceededError):
-            canonical_form(cycle_graph(18))
-        assert len(calls) == 1 and yielded == []
+        distinct = [sum(1 << j for j in range(9) if (j + 1) >> k & 1) for k in range(4)]
+        rows = distinct[:1] * 6 + distinct[1:]
+        assert graphs_mod._row_orders(rows) == 504
+        columns_distinct = Graph(18, tuple(
+            (i, 9 + j) for i, r in enumerate(rows) for j in range(9) if r >> j & 1))
+        placed = []
+        monkeypatch.setattr(graphs_mod, "_place_rows", lambda *args: placed.append(args))
+        for g in (cycle_graph(18), path_graph(18), columns_distinct):
+            with pytest.raises(SizeGuardExceededError, match="row orders"):
+                canonical_form(g)
+        assert placed == []
 
     @pytest.mark.parametrize("g", [cycle_graph(6), complete_bipartite(3, 3)], ids=["C6", "K33"])
     def test_refines_once_for_both_orientations(self, g, monkeypatch):
+        # the reference code refines once and serves both orientations
         calls = []
-        real = graphs_mod._refine
+        real = reference_mod._refine
 
         def spy(rows, cols):
             calls.append(rows)
             return real(rows, cols)
 
-        monkeypatch.setattr(graphs_mod, "_refine", spy)
-        canonical_form(g)
+        monkeypatch.setattr(reference_mod, "_refine", spy)
+        reference_code(g)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_refinement_matches_reference(self, n):
-        # the kernel's ordered classes, rows and columns, against the
-        # whole-graph reference refinement from the part colouring
+        # the reference code's ordered classes, rows and columns, against
+        # the whole-graph reference refinement from the part colouring
         for a, b, rows, g in candidates(n):
             if not is_connected(g):
                 continue
             cols = [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(b)]
             colors = wl_colors(g.neighbors, [0] * a + [1] * b)
             classes = [[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))]
-            row_classes, col_classes = graphs_mod._refine(rows, cols)
+            row_classes, col_classes = reference_mod._refine(rows, cols)
             assert row_classes == [m for m in classes if m[0] < a]
             assert col_classes == [[v - a for v in m] for m in classes if m[0] >= a]
 
@@ -596,23 +630,34 @@ class TestCanonicalForm:
                 continue
             perm = list(range(n))
             rng.shuffle(perm)
-            assert biadjacency_code(a, b, rows) == canonical_form(relabel(g, perm))
+            code = _form_code(a, b, min(_doubly_sorted_forms(a, b, rows)))
+            assert code == canonical_form(relabel(g, perm))
 
-    def test_more_than_255_vertices_raise_before_refining(self, monkeypatch):
-        # the code header stores n in one byte
-        assert canonical_form(star(255))[:3] == bytes([1, 255, 1])
-        entered = []
-        monkeypatch.setattr(graphs_mod, "_refine", lambda *args: entered.append("_refine"))
-        monkeypatch.setattr(graphs_mod, "_class_orders", lambda *args: entered.append("_class_orders"))
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_codes_induce_the_reference_classes(self, n):
+        # on every connected candidate, equal codes iff equal reference codes
+        to_reference, from_reference = {}, {}
+        for g in connected_candidates(n):
+            code, ref = canonical_form(g), reference_code(g)
+            assert to_reference.setdefault(code, ref) == ref
+            assert from_reference.setdefault(ref, code) == code
+
+    def test_more_than_255_vertices_raise_before_placing(self, monkeypatch):
+        # the code header stores n in one byte; that check comes before the
+        # guard on row orders, which path_graph(300) would also fail
+        assert canonical_form(star(255))[:3] == bytes([2, 255, 1])
+        placed = []
+        monkeypatch.setattr(graphs_mod, "_place_rows", lambda *args: placed.append(args))
         for g in (star(300), path_graph(300)):
             with pytest.raises(SizeGuardExceededError, match="exceeds 255"):
                 canonical_form(g)
-        assert entered == []
+        assert placed == []
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_either_start_lists_each_part_alike(self, n):
-        # the invariant that lets one refinement serve both orientations:
-        # each part's classes, in order, do not depend on which part starts as 0
+        # the invariant that lets the reference code's one refinement serve
+        # both orientations: each part's classes, in order, do not depend on
+        # which part starts as 0
         half = n // 2
         for g in connected_candidates(n):
             if bipartition(g).part_a != tuple(range(half)):
@@ -634,7 +679,7 @@ class TestCanonicalForm:
         perm = list(range(16))
         random.Random(16).shuffle(perm)
         code = canonical_form(g)
-        assert code[:3] == bytes([1, 16, 4])
+        assert code[:3] == bytes([2, 16, 4])
         assert canonical_form(relabel(g, perm)) == code
 
     def test_large_twin_classes_stay_cheap(self):
@@ -643,3 +688,6 @@ class TestCanonicalForm:
         shifted = Graph(10, tuple((9, k) for k in range(9)))
         assert canonical_form(shifted) == code
         assert canonical_form(complete_bipartite(5, 5)) != code
+        # K_{9,9} has 9 equal rows: one row order, however many vertices
+        assert canonical_form(complete_bipartite(9, 9)) == (
+            bytes([2, 18, 9]) + (2 ** 81 - 1).to_bytes(11, "big"))

@@ -259,18 +259,24 @@ class TestKernelCheck:
                 _in_kernel(g, pairs[1:] + (bad,))
 
     def test_check_survives_python_optimize(self):
-        # -O strips assert statements; the kernel check must still raise
+        # -O strips assert statements; the kernel checks of the pipeline and
+        # of the Groebner oracle must still raise
         script = textwrap.dedent("""
+            import toricgraph.hilbert as hilbert
             from toricgraph.graphs import complete_bipartite
             from toricgraph.groebner import DEGREVLEX
-            from toricgraph.hilbert import _in_kernel, leading_cycles
 
             assert False, "not reached under -O"
             g = complete_bipartite(3, 3)
-            pairs = leading_cycles(g, DEGREVLEX)
+            pairs = hilbert.leading_cycles(g, DEGREVLEX)
             lead, trail = pairs[0]
             try:
-                _in_kernel(g, pairs[1:] + ((lead, trail ^ trail & -trail),))
+                hilbert._in_kernel(g, pairs[1:] + ((lead, trail ^ trail & -trail),))
+            except AssertionError as exc:
+                print(exc)
+            hilbert.validate_kernel_membership = lambda g, b: False
+            try:
+                hilbert.edge_ring_gb(complete_bipartite(2, 2))
             except AssertionError as exc:
                 print(exc)
             """)
@@ -280,7 +286,7 @@ class TestKernelCheck:
         out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout == "cycle escaped the kernel\n"
+        assert out.stdout == "cycle escaped the kernel\nbasis element escaped the kernel\n"
 
 
 class TestNumerator:
