@@ -1,31 +1,9 @@
 """Exhaustive atlas over connected bipartite graphs on n vertices.
 
-Enumeration is per bipartition split (a, b) and keeps only doubly sorted
-biadjacency matrices: nonzero rows r_0 <= ... <= r_{a-1}, columns
-nondecreasing (row a-1 is the most significant bit of a column) and none
-zero.  Every isomorphism class has such a representative: iterating row-sort
-and column-sort strictly increases sum M[i][j]*2^i*2^j, so it terminates at a
-matrix sorted both ways.  The matrices are built by orderly generation (Read
-1978; McKay 1998), rows from r_{a-1} down to r_0, each at most the one
-before.  The columns still tied on the rows chosen so far form runs; inside
-every run the next row must read 0..01..1, and the run then splits into its
-0-part and its 1-part, so no candidate with unsorted columns is ever built.
-Each split's matrices are sorted lexicographically by row tuple and stay in
-packed form, so the first candidate of a class is its smallest doubly
-sorted form, which is the class's canonical code (graphs.canonical_form
-gives every labeling of the class the same code).  Connectivity is tested
-on the row masks.  For a connected candidate of a new class,
-graphs._doubly_sorted_forms lists the class's doubly sorted forms; their
-minimum, the candidate itself, gives the code, and the others all come
-later in the split and are each skipped, untested, when they come.  A
-Graph is built only for a code not seen before; the seen set also keeps a
-form the search missed from yielding its class twice.  So classes are
-deduplicated by canonical form and yielded in order of first candidate.  A
-connected bipartite graph has a unique bipartition up to swapping the
-parts, so no class appears under two splits.
-
-The sweep attaches the full invariant pipeline to every class and checks the
-realized (regularity, pdim) pairs against the closed-form target set
+The classes come from graphs._split_classes, split by split, in order of
+canonical code.  The sweep attaches the full invariant pipeline to every
+class and checks the realized (regularity, pdim) pairs against the
+closed-form target set
 {(0,0)} | {(r,p) : 0 < r < floor(n/2), 1 <= p <= r(n-2-r)}.
 """
 
@@ -33,20 +11,19 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
 import time
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import product
 from multiprocessing import Pool
 
 from .betti import BettiTable, betti_table, euler_numerator, invariants_from_betti
 from .graphs import (
     Graph,
     SizeGuardExceededError,
-    _doubly_sorted_forms,
-    _form_code,
-    biadjacency_connected,
+    _split_classes,
     canonical_form,  # unused here; perfbench/spans.py rebinds atlas.canonical_form
     is_connected,  # unused here; perfbench/spans.py rebinds atlas.is_connected
     matching_number,
@@ -102,73 +79,16 @@ def _check_guard(n: int, force: bool) -> None:
         )
 
 
-def _extend_rows(out: list[int], left: int, b: int, runs: tuple[tuple[int, int], ...],
-                 bound: int, packed: int, shift: int, acc: int) -> None:
-    # Choose row r_{left-1} <= bound, stored at bit `shift` of `packed`; `acc`
-    # is the union of the rows chosen so far.  The columns of a run [lo, hi)
-    # are tied on every row chosen so far, so there the new row must read
-    # 0..01..1 (bit j is column j) to keep the columns sorted; the run then
-    # splits into its 0-part and its 1-part.
-    if not left:
-        if acc == (1 << b) - 1:
-            out.append(packed)
-        return
-    for cuts in product(*(range(lo, hi + 1) for lo, hi in runs)):
-        row = 0
-        for (lo, hi), cut in zip(runs, cuts):
-            row |= (1 << hi) - (1 << cut)
-        if not 0 < row <= bound:
-            continue
-        split = tuple(
-            part
-            for (lo, hi), cut in zip(runs, cuts)
-            for part in ((lo, cut), (cut, hi))
-            if part[0] < part[1]
-        )
-        _extend_rows(out, left - 1, b, split, row, packed | row << shift, shift + b, acc | row)
-
-
-def _doubly_sorted(a: int, b: int) -> list[int]:
-    """Every a x b biadjacency matrix with nonzero rows r_0 <= ... <= r_{a-1},
-    nondecreasing columns and no zero column, packed with r_0 most
-    significant and sorted, which is lexicographic order on row tuples."""
-    out: list[int] = []
-    _extend_rows(out, a, b, ((0, b),), (1 << b) - 1, 0, 0, 0)
-    out.sort()
-    return out
-
-
 def _enumerate_with_codes(n: int, force: bool = False):
     _check_guard(n, force)
-    seen: set[bytes] = set()
     for a in range(1, n // 2 + 1):
-        b = n - a
-        full = (1 << b) - 1
-        # the other doubly sorted forms of the classes yielded in this split;
-        # each is met once further on and skipped
-        pending: set[int] = set()
-        for packed in _doubly_sorted(a, b):
-            if packed in pending:
-                pending.remove(packed)
-                continue
-            rows = [(packed >> ((a - 1 - i) * b)) & full for i in range(a)]
-            if not biadjacency_connected(b, rows):
-                continue
-            forms = _doubly_sorted_forms(a, b, rows)
-            code = _form_code(a, b, min(forms))
-            if code in seen:  # only a form the search missed gets here
-                continue
-            seen.add(code)
-            pending |= forms
-            pending.discard(packed)
-            yield code, Graph(n, tuple(
-                (i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1
-            ))
+        for code, edges in _split_classes(a, n - a):
+            yield code, Graph(n, edges)
 
 
 def enumerate_connected_bipartite(n: int, force: bool = False):
     """One representative Graph per isomorphism class of connected bipartite
-    graphs on n vertices, in a deterministic order."""
+    graphs on n vertices, in order of canonical code."""
     for _, g in _enumerate_with_codes(n, force):
         yield g
 
@@ -232,7 +152,8 @@ def _betti_job(args: tuple[int, tuple, int, int]) -> BettiTable | None:
 
 
 # ---------------------------------------------------------------------------
-# persistent cache: append-only JSONL, one record per line, last write wins
+# persistent cache: JSONL, one record per line, last write wins; a sweep
+# appends its new records to a file it first trims to one line per class
 
 
 def cache_dir() -> str:
@@ -294,6 +215,34 @@ def cache_store(rec: AtlasRecord) -> None:
         fh.write(json.dumps(record_to_json_dict(rec)) + "\n")
 
 
+def _trim_cache(n: int, kept: list[AtlasRecord]) -> None:
+    """Leave the cache file of n holding one line per record of `kept`, the
+    records cache_load gave for the current classes.  A file with any other
+    line (stale, superseded, corrupted, blank) or a torn last line is
+    rewritten to a temporary file that then replaces it, so an interruption
+    leaves the old file whole."""
+    path = _cache_path(n)
+    try:
+        # text mode splits lines as cache_load does
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        return
+    # every record of `kept` has a line of its own, so as many lines as
+    # records, each ended, means no other line
+    if text.count("\n") == len(kept) and text[-1:] in ("", "\n"):
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(record_to_json_dict(rec)) + "\n" for rec in kept)
+        shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cache_load(n: int) -> dict[str, AtlasRecord]:
     """Records keyed by canonical code; corrupted lines are reported and
     skipped, duplicate codes resolve to the last complete line."""
@@ -327,11 +276,12 @@ def sweep(
     with_betti_oracle: bool = False,
 ) -> tuple[list[tuple[Graph, AtlasRecord]], dict[str, BettiTable | None]]:
     """Enumerate all classes on n vertices and attach records, reusing the
-    JSONL cache for graphs already analyzed and storing each new record as it
-    arrives.  Returns (rows, tables): rows are (graph, record) pairs sorted by
-    code; with the Betti oracle on, tables maps the code of every class with
-    at most 8 edges to its Betti table, or to None when a nonzero Betti
-    number lies outside the record's (reg, pdim), and is {} otherwise.  With
+    JSONL cache for graphs already analyzed, trimming its file to one line
+    per such graph, and storing each new record as it arrives.  Returns
+    (rows, tables): rows are (graph, record) pairs sorted by code; with the
+    Betti oracle on, tables maps the code of every class with at most 8
+    edges to its Betti table, or to None when a nonzero Betti number lies
+    outside the record's (reg, pdim), and is {} otherwise.  With
     jobs > 1 one pool of that many workers, opened only when there is work,
     analyzes the missing records and then computes the tables, largest
     first."""
@@ -339,6 +289,8 @@ def sweep(
     classes = [(code, g, cached.get(code.hex())) for code, g in _enumerate_with_codes(n, force)]
     rows = [(g, rec) for _, g, rec in classes if rec is not None]
     missing = [(code, g) for code, g, rec in classes if rec is None]
+    if use_cache:
+        _trim_cache(n, [rec for _, rec in rows])
     busy = missing or (with_betti_oracle and any(g.q <= 8 for g, _ in rows))
     with Pool(jobs) if jobs > 1 and busy else nullcontext() as pool:
         tasks = [(g.n, g.edges, code) for code, g in missing]

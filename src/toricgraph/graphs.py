@@ -3,10 +3,10 @@
 Plain immutable graphs with a fixed edge order (the edge order fixes the
 polynomial variable order downstream, so every constructor here is
 deterministic), plus cycle enumeration, matchings, the witness-graph
-constructions used to realize prescribed invariants, and a canonical form
-of connected bipartite graphs for isomorphism rejection: the smallest doubly
-sorted biadjacency matrix of the class, found by the same search that the
-atlas enumeration uses to skip a class's other forms.
+constructions used to realize prescribed invariants, and the doubly sorted
+biadjacency matrices of connected bipartite graphs: their orderly
+generation, the listing of each split's isomorphism classes, and the
+canonical form, which is the smallest doubly sorted matrix of the class.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from math import factorial, prod
 
 
@@ -432,15 +433,24 @@ def max_edges_for_reg(r: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# canonical form
+# doubly sorted forms: candidates, classes, canonical form
 #
 # A bipartite graph with parts of sizes a <= b is handled as its packed
 # biadjacency rows: a list of a ints, bit j of rows[i] set when row i meets
-# column j.  Enumeration builds candidates in this form; canonical_form
-# packs a Graph into it.  A doubly sorted form is the a x b matrix, rows and
-# columns permuted (and transposed too when a == b), with nonzero rows
-# r_0 <= ... <= r_{a-1} and ascending columns (row a-1 most significant),
-# packed with r_0 most significant as atlas._doubly_sorted packs.
+# column j.  A doubly sorted form is the a x b matrix, rows and columns
+# permuted (and transposed too when a == b), with nonzero rows
+# r_0 <= ... <= r_{a-1}, nondecreasing columns (row a-1 is the most
+# significant bit of a column) and none zero, packed into one int with r_0
+# most significant, so that integer order is lexicographic order on row
+# tuples.  Every class has such a form: iterating row-sort and column-sort
+# strictly increases sum M[i][j]*2^i*2^j, so it ends at a matrix sorted both
+# ways.  A class's smallest form, coded by _form_code, is its canonical code.
+#
+# _doubly_sorted builds the candidates of a split (a, b) by orderly
+# generation (Read 1978; McKay 1998), _split_classes lists the split's
+# classes, and canonical_form packs a Graph and takes the smallest form the
+# forms search lists.  A connected bipartite graph has a unique bipartition
+# up to swapping the parts, so no class appears under two splits.
 
 _PERM_GUARD = 200_000
 _MAX_CODE_VERTICES = 255  # the code header stores n in one byte
@@ -460,13 +470,48 @@ def biadjacency_connected(b: int, rows: list[int]) -> bool:
     return seen == (1 << b) - 1
 
 
+def _extend_rows(out: list[int], left: int, b: int, runs: tuple[tuple[int, int], ...],
+                 bound: int, packed: int, shift: int, acc: int) -> None:
+    # Choose row r_{left-1} <= bound, stored at bit `shift` of `packed`; `acc`
+    # is the union of the rows chosen so far.  The columns of a run [lo, hi)
+    # are tied on every row chosen so far, so there the new row must read
+    # 0..01..1 (bit j is column j) to keep the columns sorted; the run then
+    # splits into its 0-part and its 1-part.
+    if not left:
+        if acc == (1 << b) - 1:
+            out.append(packed)
+        return
+    for cuts in product(*(range(lo, hi + 1) for lo, hi in runs)):
+        row = 0
+        for (lo, hi), cut in zip(runs, cuts):
+            row |= (1 << hi) - (1 << cut)
+        if not 0 < row <= bound:
+            continue
+        split = tuple(
+            part
+            for (lo, hi), cut in zip(runs, cuts)
+            for part in ((lo, cut), (cut, hi))
+            if part[0] < part[1]
+        )
+        _extend_rows(out, left - 1, b, split, row, packed | row << shift, shift + b, acc | row)
+
+
+def _doubly_sorted(a: int, b: int) -> list[int]:
+    """Every doubly sorted a x b matrix, packed and sorted, its rows chosen
+    from r_{a-1} down to r_0, each at most the one before."""
+    out: list[int] = []
+    _extend_rows(out, a, b, ((0, b),), (1 << b) - 1, 0, 0, 0)
+    out.sort()
+    return out
+
+
 def _place_rows(out: set[int], left: list[int], runs: list[tuple[int, int]],
                 bound: int, packed: int, shift: int, b: int) -> None:
     # Place each distinct row of `left` (sorted, bit j is original column j)
     # at the next position down, stored at bit `shift` of `packed`.  A run
     # (lo, mask) holds the original columns in `mask`, tied on every row
     # placed so far, which sort to positions lo, lo+1, ...; so, as in
-    # atlas._extend_rows, the new row's ones in a run take its top positions
+    # _extend_rows, the new row's ones in a run take its top positions
     # and the run splits into its 0-part and its 1-part.  `bound` is the row
     # placed last, and no row still to place may end above it.  A row's
     # value with its ones at the top of every run settles that.  `bound`
@@ -536,13 +581,41 @@ def _form_code(a: int, b: int, form: int) -> bytes:
     return bytes([2, a + b, a]) + form.to_bytes((a * b + 7) // 8, "big")
 
 
+def _split_classes(a: int, b: int):
+    """(code, edges) for every class of connected bipartite graphs with parts
+    of sizes a <= b, in code order; edge (i, a + j) joins row i to column j
+    of the class's smallest form.  Candidates come sorted, so a connected one
+    is the first of its class if and only if it is the smallest of its own
+    forms, the test of orderly generation; a form the search failed to list
+    for an earlier class fails it when it comes."""
+    full = (1 << b) - 1
+    # the other forms of the classes yielded so far; each is met once
+    # further on and skipped
+    pending: set[int] = set()
+    for packed in _doubly_sorted(a, b):
+        if packed in pending:
+            pending.remove(packed)
+            continue
+        rows = [(packed >> ((a - 1 - i) * b)) & full for i in range(a)]
+        if not biadjacency_connected(b, rows):
+            continue
+        forms = _doubly_sorted_forms(a, b, rows)
+        if min(forms) != packed:
+            continue
+        pending |= forms
+        pending.discard(packed)
+        yield _form_code(a, b, packed), tuple(
+            (i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1
+        )
+
+
 def canonical_form(g: Graph) -> bytes:
     """Canonical code of a connected bipartite graph: equal codes iff
     isomorphic.
 
     The graph is packed into biadjacency rows, the rows being the part that
     is not larger, and its code is _form_code of its smallest doubly sorted
-    form: the code the atlas enumeration gives its class.  _PERM_GUARD
+    form: the code _split_classes gives its class.  _PERM_GUARD
     bounds the distinct row orders, a! / prod m_i! with m_i counting equal
     rows (and the column orders too when the parts have equal size), and
     SizeGuardExceededError is raised beyond it before any row is placed.

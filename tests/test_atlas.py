@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import warnings
 
 import pytest
 
@@ -9,7 +10,6 @@ import toricgraph.graphs as graphs_mod
 from reference_code import biadjacency_code, reference_code
 from toricgraph.atlas import (
     CACHE_ENV,
-    _doubly_sorted,
     _enumerate_with_codes,
     _record_from_json_dict,
     analyze_graph,
@@ -29,6 +29,7 @@ from toricgraph.graphs import (
     Graph,
     NotBipartiteError,
     SizeGuardExceededError,
+    _doubly_sorted,
     _doubly_sorted_forms,
     _form_code,
     biadjacency_connected,
@@ -170,7 +171,7 @@ class TestEnumeration:
             real_post_init(g)
 
         monkeypatch.setattr(Graph, "__post_init__", counting_post_init)
-        monkeypatch.setattr(atlas_mod, "_doubly_sorted_forms",
+        monkeypatch.setattr(graphs_mod, "_doubly_sorted_forms",
                             lambda *args: searches.append(args) or _doubly_sorted_forms(*args))
         for mod, name in ((graphs_mod, "bipartition"), (graphs_mod, "is_connected"),
                           (atlas_mod, "is_connected")):
@@ -197,6 +198,34 @@ class TestEnumeration:
                 assert _doubly_sorted_forms(a, b, rows) == set(members)
                 assert _doubly_sorted_forms(a, b, flipped) == set(members)
         assert [(code, g.edges) for code, g in _enumerate_with_codes(n)] == expected
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_a_form_the_search_misses_yields_no_class_twice(self, n, monkeypatch):
+        # the search drops the largest form of every class with more than
+        # one, so each is met later as a connected candidate of its own
+        expected = [(code, g.edges) for code, g in _enumerate_with_codes(n)]
+        searches, dropped = [], set()
+
+        def missing_largest(a, b, rows):
+            searches.append(rows)
+            forms = _doubly_sorted_forms(a, b, rows)
+            if len(forms) > 1:
+                dropped.add(max(forms))
+                forms.discard(max(forms))
+            return forms
+
+        monkeypatch.setattr(graphs_mod, "_doubly_sorted_forms", missing_largest)
+        assert [(code, g.edges) for code, g in _enumerate_with_codes(n)] == expected
+        # every dropped form was met and searched, on top of one search per class
+        assert len(searches) == len(expected) + len(dropped)
+        assert bool(dropped) == (n >= 6)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_classes_come_in_code_order(self, n):
+        codes = [code for code, _ in _enumerate_with_codes(n)]
+        assert all(x < y for x, y in zip(codes, codes[1:]))
+        hexes = [code.hex() for code in codes]
+        assert all(x < y for x, y in zip(hexes, hexes[1:]))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_against_labeled_oracle(self, n):
@@ -551,8 +580,11 @@ class TestCache:
         with pytest.warns(UserWarning, match="corrupted"):
             report = verify(4)
         assert report.equal and report.counterexamples == ()
-        # the class was analyzed again and its record appended
-        with pytest.warns(UserWarning, match="corrupted"):
+        # the bad line is gone, and the class was analyzed again and its
+        # record appended
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             loaded = cache_load(4)
         assert {c: r.invariants for c, r in loaded.items()} == {
             r.code: r.invariants for _, r in rows
@@ -560,8 +592,9 @@ class TestCache:
 
     def test_record_under_an_older_code_is_analyzed_again(self, tmp_path, monkeypatch):
         # a line keyed by a header-1 code, as an earlier canonical form wrote
-        # it, matches no class: its wrong reg is never read, the class is
-        # analyzed again and its record appended under the current code
+        # it, matches no class: its wrong reg is never read, the line is
+        # dropped, and the class is analyzed again and its record appended
+        # under the current code
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         fresh = verify(6, use_cache=False)
         g = cycle_graph(6)
@@ -575,8 +608,8 @@ class TestCache:
         assert report.equal and report.counterexamples == ()
         assert report.property_passes == fresh.property_passes
         lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        assert lines[0] == stale and len(lines) == 1 + KNOWN_CLASS_COUNTS[6]
-        (c6,) = [d for d in lines[1:] if d["code"] == rec.code]
+        assert stale not in lines and len(lines) == KNOWN_CLASS_COUNTS[6]
+        (c6,) = [d for d in lines if d["code"] == rec.code]
         assert c6["reg"] == rec.invariants.reg
 
     @pytest.mark.parametrize("field, value", [
@@ -682,3 +715,35 @@ class TestCache:
         ]
         assert strip(resumed) == strip(fresh)
         assert len(cache_load(6)) == KNOWN_CLASS_COUNTS[6]
+
+    def test_torn_last_line_resumes_with_one_line_per_class(self, tmp_path, monkeypatch):
+        # an interruption mid-write leaves half a line; the resumed sweep
+        # must not glue its first record onto it
+        import toricgraph.atlas as atlas_mod
+
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        fresh = atlas_mod.sweep(6)[0]
+        path = tmp_path / "atlas-n6.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:14]) + lines[14][: len(lines[14]) // 2],
+                        encoding="utf-8")
+        real = atlas_mod.analyze_graph
+        analyzed = []
+
+        def counting(g, code):
+            analyzed.append(g)
+            return real(g, code)
+
+        monkeypatch.setattr(atlas_mod, "analyze_graph", counting)
+        with pytest.warns(UserWarning, match="corrupted"):
+            resumed = atlas_mod.sweep(6)[0]
+        assert len(analyzed) == KNOWN_CLASS_COUNTS[6] - 14
+        assert len(path.read_text(encoding="utf-8").splitlines()) == KNOWN_CLASS_COUNTS[6]
+        analyzed.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = atlas_mod.sweep(6)[0]
+        assert analyzed == []
+        assert len(path.read_text(encoding="utf-8").splitlines()) == KNOWN_CLASS_COUNTS[6]
+        strip = lambda rows: [(g.edges, r.code, r.invariants, r.h_poly) for g, r in rows]
+        assert strip(resumed) == strip(again) == strip(fresh)

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 import reference_code as reference_mod
 import toricgraph.graphs as graphs_mod
 from reference_code import reference_code
-from toricgraph.atlas import _doubly_sorted
 from toricgraph.graphs import (
     DisconnectedError,
     Graph,
     GraphFormatError,
     NotBipartiteError,
     SizeGuardExceededError,
+    _doubly_sorted,
     _doubly_sorted_forms,
     _form_code,
     biadjacency_connected,
