@@ -95,7 +95,6 @@ from .atlas import (
     cache_load,
     cache_store,
     cardinality_formula,
-    computed_pairs,
     enumerate_connected_bipartite,
     property_sweep,
     theoretical_pairs,

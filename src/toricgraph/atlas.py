@@ -16,7 +16,7 @@ import tempfile
 import time
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import Pool
 
 from .betti import BettiTable, betti_table, euler_numerator, invariants_from_betti
@@ -39,23 +39,35 @@ from .hilbert import (
 )
 
 ENUMERATION_GUARD = 10
+# the Betti oracle checks every class with at most this many edges
+BETTI_MAX_EDGES = 8
 CACHE_ENV = "TORIC_ATLAS_CACHE"
 
 
 @dataclass(frozen=True)
 class AtlasRecord:
-    """One row per isomorphism class: canonical code, sizes, invariants, and
-    the h-polynomials from both monomial orders (their agreement is one of
-    the swept properties)."""
+    """One row per isomorphism class and one line of its cache file: the
+    fields are the line's JSON keys, in order.  The canonical code, the
+    sizes, the invariant tuple, the matching number, and the h-polynomials
+    from both monomial orders (their agreement is one of the swept
+    properties)."""
 
     code: str
     n: int
     q: int
-    invariants: InvariantTuple
-    matching: int
+    reg: int
+    deg_h: int
+    pdim: int
+    depth: int
+    dim: int
+    mat: int
     seconds: float
-    h_poly: IntPoly
-    h_poly_lex: IntPoly
+    h: IntPoly
+    h_lex: IntPoly
+
+    @property
+    def invariants(self) -> InvariantTuple:
+        return InvariantTuple(self.reg, self.deg_h, self.pdim, self.depth, self.dim)
 
 
 @dataclass(frozen=True)
@@ -124,16 +136,8 @@ def analyze_graph(g: Graph, code: bytes) -> AtlasRecord:
     h_lex = edge_ring_hilbert(g, LEX).h_poly
     mat = matching_number(g)
     elapsed = time.perf_counter() - start
-    return AtlasRecord(
-        code=code.hex(),
-        n=g.n,
-        q=g.q,
-        invariants=inv,
-        matching=mat,
-        seconds=round(elapsed, 6),
-        h_poly=data.h_poly,
-        h_poly_lex=h_lex,
-    )
+    return AtlasRecord(code.hex(), g.n, g.q, *inv.as_tuple(), mat, round(elapsed, 6),
+                       data.h_poly, h_lex)
 
 
 def _analyze_edges(args: tuple[int, tuple, bytes]) -> AtlasRecord:
@@ -166,46 +170,29 @@ def _cache_path(n: int) -> str:
 
 
 def record_to_json_dict(rec: AtlasRecord) -> dict:
-    return {
-        "code": rec.code,
-        "n": rec.n,
-        "q": rec.q,
-        "reg": rec.invariants.reg,
-        "deg_h": rec.invariants.deg_h,
-        "pdim": rec.invariants.pdim,
-        "depth": rec.invariants.depth,
-        "dim": rec.invariants.dim,
-        "mat": rec.matching,
-        "seconds": rec.seconds,
-        "h": list(rec.h_poly),
-        "h_lex": list(rec.h_poly_lex),
-    }
+    return dict(vars(rec), h=list(rec.h), h_lex=list(rec.h_lex))
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# the JSON values a field admits, by its annotation
+_ADMITS = {
+    "str": lambda x: isinstance(x, str),
+    "int": _is_int,
+    "float": lambda x: _is_int(x) or isinstance(x, float),
+    "IntPoly": lambda x: isinstance(x, list) and all(map(_is_int, x)),
+}
+
+
 def _record_from_json_dict(d: dict) -> AtlasRecord:
-    # a wrongly typed field raises ValueError, so cache_load skips the line
-    # and the class is analyzed again
-    if not (
-        isinstance(d["code"], str)
-        and all(_is_int(d[k]) for k in ("n", "q", "reg", "deg_h", "pdim", "depth", "dim", "mat"))
-        and all(isinstance(d[k], list) and all(map(_is_int, d[k])) for k in ("h", "h_lex"))
-        and isinstance(d["seconds"], (int, float)) and not isinstance(d["seconds"], bool)
-    ):
+    # a missing key raises KeyError and a wrongly typed field ValueError, so
+    # cache_load skips the line and the class is analyzed again
+    values = [d[f.name] for f in fields(AtlasRecord)]
+    if not all(_ADMITS[f.type](v) for f, v in zip(fields(AtlasRecord), values)):
         raise ValueError("cache record field of the wrong type")
-    return AtlasRecord(
-        code=d["code"],
-        n=d["n"],
-        q=d["q"],
-        invariants=InvariantTuple(d["reg"], d["deg_h"], d["pdim"], d["depth"], d["dim"]),
-        matching=d["mat"],
-        seconds=d["seconds"],
-        h_poly=tuple(d["h"]),
-        h_poly_lex=tuple(d["h_lex"]),
-    )
+    return AtlasRecord(*(tuple(v) if isinstance(v, list) else v for v in values))
 
 
 def cache_store(rec: AtlasRecord) -> None:
@@ -224,7 +211,7 @@ def _trim_cache(n: int, kept: list[AtlasRecord]) -> None:
     path = _cache_path(n)
     try:
         # text mode splits lines as cache_load does
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="replace") as fh:
             text = fh.read()
     except FileNotFoundError:
         return
@@ -250,7 +237,8 @@ def cache_load(n: int) -> dict[str, AtlasRecord]:
     records: dict[str, AtlasRecord] = {}
     if not os.path.exists(path):
         return records
-    with open(path, encoding="utf-8") as fh:
+    # a byte that is not UTF-8 spoils its line only: the line fails to parse
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -278,45 +266,39 @@ def sweep(
     """Enumerate all classes on n vertices and attach records, reusing the
     JSONL cache for graphs already analyzed, trimming its file to one line
     per such graph, and storing each new record as it arrives.  Returns
-    (rows, tables): rows are (graph, record) pairs sorted by code; with the
-    Betti oracle on, tables maps the code of every class with at most 8
-    edges to its Betti table, or to None when a nonzero Betti number lies
-    outside the record's (reg, pdim), and is {} otherwise.  With
-    jobs > 1 one pool of that many workers, opened only when there is work,
-    analyzes the missing records and then computes the tables, largest
-    first."""
+    (rows, tables): rows are (graph, record) pairs in enumeration order,
+    which is code order; with the Betti oracle on, tables maps the code of
+    every class with at most BETTI_MAX_EDGES edges to its Betti table, or
+    to None when a nonzero Betti number lies outside the record's (reg,
+    pdim), and is {} otherwise.  With jobs > 1 one pool of that many
+    workers, opened only when there is work, analyzes the missing records
+    and then computes the tables, largest first."""
     cached = cache_load(n) if use_cache else {}
     classes = [(code, g, cached.get(code.hex())) for code, g in _enumerate_with_codes(n, force)]
-    rows = [(g, rec) for _, g, rec in classes if rec is not None]
-    missing = [(code, g) for code, g, rec in classes if rec is None]
     if use_cache:
-        _trim_cache(n, [rec for _, rec in rows])
-    busy = missing or (with_betti_oracle and any(g.q <= 8 for g, _ in rows))
+        _trim_cache(n, [rec for _, _, rec in classes if rec is not None])
+    tasks = [(g.n, g.edges, code) for code, g, rec in classes if rec is None]
+    busy = tasks or (with_betti_oracle and any(g.q <= BETTI_MAX_EDGES for _, g, _ in classes))
     with Pool(jobs) if jobs > 1 and busy else nullcontext() as pool:
-        tasks = [(g.n, g.edges, code) for code, g in missing]
         # one task per graph is mostly IPC (about 1 ms of work each at n = 9);
         # 16 chunks keep the workers busy and the records streaming in order
-        recs = (pool.imap(_analyze_edges, tasks, chunksize=max(1, len(tasks) // 16))
-                if pool else map(_analyze_edges, tasks))
-        for (_, g), rec in zip(missing, recs):
+        new = (pool.imap(_analyze_edges, tasks, chunksize=max(1, len(tasks) // 16))
+               if pool else map(_analyze_edges, tasks))
+        rows = []
+        for _, g, rec in classes:
+            if rec is None:
+                rec = next(new)
+                if use_cache:
+                    cache_store(rec)
             rows.append((g, rec))
-            if use_cache:
-                cache_store(rec)
-        rows.sort(key=lambda row: row[1].code)
-        checked = sorted(((g, rec) for g, rec in rows if with_betti_oracle and g.q <= 8),
-                         key=lambda row: -row[0].q)
-        tasks = [(g.n, g.edges, rec.invariants.reg, rec.invariants.pdim) for g, rec in checked]
+        checked = sorted(
+            ((g, rec) for g, rec in rows if with_betti_oracle and g.q <= BETTI_MAX_EDGES),
+            key=lambda row: -row[0].q,
+        )
+        tasks = [(g.n, g.edges, rec.reg, rec.pdim) for g, rec in checked]
         tables = dict(zip((rec.code for _, rec in checked),
                           pool.imap(_betti_job, tasks) if pool else map(_betti_job, tasks)))
     return rows, tables
-
-
-def computed_pairs(
-    n: int, jobs: int = 1, use_cache: bool = True, force: bool = False
-) -> set[tuple[int, int]]:
-    """The set of (regularity, pdim) pairs realized on n vertices."""
-    rows, _ = sweep(n, jobs, use_cache, force)
-    return {(rec.invariants.reg, rec.invariants.pdim) for _, rec in rows}
 
 
 def property_sweep(g: Graph, t: InvariantTuple, mat: int) -> list[tuple[str, bool]]:
@@ -344,10 +326,10 @@ def verify(
 ) -> VerificationReport:
     """Run the full check for one n over one `sweep`: pair-set equality,
     cardinality, tuple shape, the per-graph property sweep, and optionally
-    the Betti oracle on every class with at most 8 edges.  Failures land in
-    the report rather than raising."""
+    the Betti oracle on every class with at most BETTI_MAX_EDGES edges.
+    Failures land in the report rather than raising."""
     rows, tables = sweep(n, jobs, use_cache, force, with_betti_oracle)
-    computed = {(rec.invariants.reg, rec.invariants.pdim) for _, rec in rows}
+    computed = {(rec.reg, rec.pdim) for _, rec in rows}
     theoretical = theoretical_pairs(n)
     passes: dict[str, int] = {}
     failures: list[str] = []
@@ -359,11 +341,11 @@ def verify(
 
     for g, rec in rows:
         t = rec.invariants
-        for prop, ok in property_sweep(g, t, rec.matching):
+        for prop, ok in property_sweep(g, t, rec.mat):
             note(prop, ok, g, rec)
         note("tuple_shape_r_r_p_n1_n1", t.as_tuple() == (t.reg, t.reg, t.pdim, n - 1, n - 1), g, rec)
-        note("h_at_1_nonzero", sum(rec.h_poly) != 0, g, rec)
-        note("h_order_independent", rec.h_poly == rec.h_poly_lex, g, rec)
+        note("h_at_1_nonzero", sum(rec.h) != 0, g, rec)
+        note("h_order_independent", rec.h == rec.h_lex, g, rec)
         if rec.code in tables:
             table = tables[rec.code]
             if table is None:
@@ -371,7 +353,7 @@ def verify(
                 note("betti_oracle_agrees", False, g, rec)
                 continue
             note("betti_oracle_agrees", invariants_from_betti(table) == (t.reg, t.pdim), g, rec)
-            numerator = rec.h_poly
+            numerator = rec.h
             for _ in range(g.q - t.dim):
                 numerator = poly_mul(numerator, (1, -1))
             note("betti_euler_matches_numerator", euler_numerator(table) == numerator, g, rec)

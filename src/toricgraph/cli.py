@@ -221,9 +221,10 @@ def cmd_plot(args) -> int:
         raise ValueError(f"--out must end in .csv or .svg, got {args.out!r}")
     _check_out(args.out)
     if args.source == "computed":
-        pairs = atlas.computed_pairs(args.n, jobs=args.jobs, force=args.force)
+        report = atlas.verify(args.n, jobs=args.jobs, force=args.force)
+        pairs, failures = report.computed, report.counterexamples
     else:
-        pairs = atlas.theoretical_pairs(args.n)
+        pairs, failures = atlas.theoretical_pairs(args.n), ()
     with open(args.out, "w", encoding="utf-8") as fh:
         if args.out.endswith(".csv"):
             fh.write("r,p\n")
@@ -233,7 +234,9 @@ def cmd_plot(args) -> int:
             fh.write(_scatter_svg(pairs, args.n))
             fh.write("\n")
     print(f"wrote {len(pairs)} points to {args.out}")
-    return 0
+    for line in failures:
+        print(f"counterexample: {line}", file=sys.stderr)
+    return 3 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

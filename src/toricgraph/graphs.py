@@ -621,8 +621,7 @@ def canonical_form(g: Graph) -> bytes:
     SizeGuardExceededError is raised beyond it before any row is placed.
     Every graph on at most 17 vertices fits (8! <= _PERM_GUARD), and so does
     K_{9,9}, whose rows are all equal; a graph whose smaller part has 9 or
-    more distinct rows, such as C_18 or path_graph(18), does not (the
-    refinement-based code of header 1 took path_graph(18) but not K_{9,9}).
+    more distinct rows, such as C_18 or path_graph(18), does not.
     The code stores n in one byte, so a graph on more than 255 vertices
     raises SizeGuardExceededError first.  Raises NotBipartiteError on an odd
     cycle and DisconnectedError on a disconnected graph.

@@ -35,11 +35,11 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 def test_criterion_1_exhaustive_pairs_up_to_8():
     start = time.perf_counter()
     for n in range(2, 9):
-        computed = atlas.computed_pairs(n)
+        computed = set(atlas.verify(n).computed)
         expected = _closed_form_pairs(n)
         assert computed == expected, f"n={n}: {sorted(computed ^ expected)}"
         assert atlas.theoretical_pairs(n) == expected
-    pairs8 = atlas.computed_pairs(8)
+    pairs8 = set(atlas.verify(8).computed)
     assert len(pairs8) == 23 and max(pairs8) == (3, 9)
     elapsed = time.perf_counter() - start
     _report(1, elapsed <= 300, f"pair sets exact for n=2..8, n=8 has 23 pairs ({elapsed:.1f}s)")
@@ -47,7 +47,7 @@ def test_criterion_1_exhaustive_pairs_up_to_8():
 
 def test_criterion_2_n9():
     start = time.perf_counter()
-    computed = atlas.computed_pairs(9)
+    computed = set(atlas.verify(9).computed)
     expected = _closed_form_pairs(9)
     assert computed == expected, sorted(computed ^ expected)
     assert len(computed) == 29 and max(computed) == (3, 12)
@@ -57,7 +57,7 @@ def test_criterion_2_n9():
 
 def test_criterion_3_counting_formula():
     for n in range(2, 10):
-        assert len(atlas.computed_pairs(n)) == atlas.cardinality_formula(n), n
+        assert len(atlas.verify(n).computed) == atlas.cardinality_formula(n), n
     for n in range(2, 101):
         direct = 1 + sum(r * (n - 2 - r) for r in range(1, n // 2))
         assert atlas.cardinality_formula(n) == direct, n

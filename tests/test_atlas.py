@@ -16,7 +16,6 @@ from toricgraph.atlas import (
     cache_load,
     cache_store,
     cardinality_formula,
-    computed_pairs,
     enumerate_connected_bipartite,
     property_sweep,
     record_to_json_dict,
@@ -311,11 +310,11 @@ class TestPairSets:
         assert len(pairs9) == 29 and max(pairs9) == (3, 12)
 
     def test_computed_small(self):
-        assert computed_pairs(4, use_cache=False) == {(0, 0), (1, 1)}
-        assert computed_pairs(5, use_cache=False) == {(0, 0), (1, 1), (1, 2)}
+        assert verify(4, use_cache=False).computed == ((0, 0), (1, 1))
+        assert verify(5, use_cache=False).computed == ((0, 0), (1, 1), (1, 2))
 
     def test_computed_n6_includes_k33_pair(self):
-        assert (2, 4) in computed_pairs(6, use_cache=False)
+        assert (2, 4) in verify(6, use_cache=False).computed
 
     def test_cardinality_formula(self):
         assert cardinality_formula(2) == 1
@@ -548,6 +547,20 @@ class TestCache:
         loaded = cache_load(6)
         assert loaded == {rec.code: rec}
 
+    def test_fields_are_the_cache_line_keys(self, tmp_path, monkeypatch):
+        from dataclasses import fields
+
+        from toricgraph.atlas import AtlasRecord
+
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        g = cycle_graph(6)
+        rec = analyze_graph(g, canonical_form(g))
+        cache_store(rec)
+        (line,) = (tmp_path / "atlas-n6.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [f.name for f in fields(AtlasRecord)] == list(json.loads(line))
+        assert record_to_json_dict(rec) == json.loads(line)
+        assert rec.invariants == invariant_tuple(g)
+
     def test_duplicate_last_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         g = cycle_graph(6)
@@ -589,6 +602,17 @@ class TestCache:
         assert {c: r.invariants for c, r in loaded.items()} == {
             r.code: r.invariants for _, r in rows
         }
+
+    def test_line_that_is_not_utf8_skipped_and_dropped(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        verify(4)
+        path = tmp_path / "atlas-n4.jsonl"
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe garbage\n")
+        with pytest.warns(UserWarning, match="corrupted"):
+            report = verify(4)
+        assert report.equal and report.counterexamples == ()
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 3
 
     def test_record_under_an_older_code_is_analyzed_again(self, tmp_path, monkeypatch):
         # a line keyed by a header-1 code, as an earlier canonical form wrote
@@ -667,7 +691,7 @@ class TestCache:
         )
         serial, serial_tables = atlas_mod.sweep(5, use_cache=False, with_betti_oracle=True)
         strip = lambda rows: [
-            (r.code, r.invariants, r.matching, r.h_poly, r.h_poly_lex) for _, r in rows
+            (r.code, r.invariants, r.mat, r.h, r.h_lex) for _, r in rows
         ]
         assert strip(parallel) == strip(serial)
         # every class at n = 5 has at most 8 edges, so every class has a table
@@ -710,7 +734,7 @@ class TestCache:
         monkeypatch.setattr(atlas_mod, "analyze_graph", real)
         fresh = atlas_mod.sweep(6, use_cache=False)[0]
         strip = lambda rows: [
-            (g.edges, r.code, r.invariants, r.matching, r.h_poly, r.h_poly_lex)
+            (g.edges, r.code, r.invariants, r.mat, r.h, r.h_lex)
             for g, r in rows
         ]
         assert strip(resumed) == strip(fresh)
@@ -745,5 +769,5 @@ class TestCache:
             again = atlas_mod.sweep(6)[0]
         assert analyzed == []
         assert len(path.read_text(encoding="utf-8").splitlines()) == KNOWN_CLASS_COUNTS[6]
-        strip = lambda rows: [(g.edges, r.code, r.invariants, r.h_poly) for g, r in rows]
+        strip = lambda rows: [(g.edges, r.code, r.invariants, r.h) for g, r in rows]
         assert strip(resumed) == strip(again) == strip(fresh)

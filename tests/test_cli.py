@@ -249,6 +249,21 @@ class TestPlot:
         assert code == 0
         assert out_file.read_text() == "r,p\n0,0\n1,1\n"
 
+    def test_computed_counterexample_exit_3(self, capsys, tmp_path, monkeypatch):
+        fake = VerificationReport(
+            n=4, computed=((0, 0),), theoretical=((0, 0), (1, 1)), equal=False,
+            class_count=3, property_passes={}, counterexamples=("pair sets differ",),
+        )
+        monkeypatch.setattr(cli.atlas, "verify", lambda *a, **k: fake)
+        out_file = tmp_path / "pairs.csv"
+        code, out, err = run(
+            capsys, "plot", "--n", "4", "--out", str(out_file), "--source", "computed"
+        )
+        assert code == 3
+        assert out_file.read_text() == "r,p\n0,0\n"
+        assert "wrote 1 points" in out
+        assert "counterexample: pair sets differ" in err
+
     def test_single_point_n2(self, capsys, tmp_path):
         out_file = tmp_path / "p2.svg"
         code, _, _ = run(capsys, "plot", "--n", "2", "--out", str(out_file))
