@@ -2,17 +2,17 @@
 
 The pipeline: even cycles give binomial generators of the toric ideal; they
 form a universal Groebner basis, so a cycle search that grows only the
-cycles whose leading half no kept leading half divides gives the initial
-ideal as int edge masks (the full cycle enumeration and Buchberger's
+cycles whose leading half no kept leading half divides gives the degrevlex
+initial ideal as int edge masks (the full cycle enumeration and Buchberger's
 algorithm are kept as oracles); the Hilbert series of the initial ideal
 gives the h-polynomial, and the order of its pole at t = 1 gives the Krull
 dimension (the minimal transversal `krull_dimension` is kept as an oracle);
 Cohen-Macaulayness of bipartite edge rings turns those into the full tuple
 (regularity, deg h, projective dimension, depth, dimension).
 The atlas enumerates all connected bipartite graphs on n vertices up to
-isomorphism, runs the pipeline once per graph under degrevlex and lex, and
-verifies the realized (regularity, pdim) pairs against their closed-form
-characterization.
+isomorphism, runs the pipeline on every graph and on its edge list rotated
+(the two h-polynomials must agree), and verifies the realized (regularity,
+pdim) pairs against their closed-form characterization.
 """
 
 from .graphs import (

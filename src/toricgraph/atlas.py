@@ -29,7 +29,6 @@ from .graphs import (
     matching_number,
     max_edges_for_reg,
 )
-from .groebner import DEGREVLEX, LEX
 from .hilbert import (
     IntPoly,
     InvariantTuple,
@@ -49,8 +48,8 @@ class AtlasRecord:
     """One row per isomorphism class and one line of its cache file: the
     fields are the line's JSON keys, in order.  The canonical code, the
     sizes, the invariant tuple, the matching number, and the h-polynomials
-    from both monomial orders (their agreement is one of the swept
-    properties)."""
+    of the graph and of its edge list rotated by q // 2 (their agreement is
+    one of the swept properties)."""
 
     code: str
     n: int
@@ -63,7 +62,7 @@ class AtlasRecord:
     mat: int
     seconds: float
     h: IntPoly
-    h_lex: IntPoly
+    h_rot: IntPoly
 
     @property
     def invariants(self) -> InvariantTuple:
@@ -128,16 +127,16 @@ def cardinality_formula(n: int) -> int:
 
 def analyze_graph(g: Graph, code: bytes) -> AtlasRecord:
     """Full pipeline for one graph whose canonical form is `code`:
-    invariants, matching number, and the h-polynomial under both monomial
-    orders."""
+    invariants, matching number, and the h-polynomial of g and of g with its
+    edge list rotated by q // 2."""
     start = time.perf_counter()
-    data = edge_ring_hilbert(g, DEGREVLEX)
+    data = edge_ring_hilbert(g)
     inv = invariant_tuple(g, data)
-    h_lex = edge_ring_hilbert(g, LEX).h_poly
+    h_rot = edge_ring_hilbert(Graph(g.n, g.edges[g.q // 2:] + g.edges[:g.q // 2])).h_poly
     mat = matching_number(g)
     elapsed = time.perf_counter() - start
     return AtlasRecord(code.hex(), g.n, g.q, *inv.as_tuple(), mat, round(elapsed, 6),
-                       data.h_poly, h_lex)
+                       data.h_poly, h_rot)
 
 
 def _analyze_edges(args: tuple[int, tuple, bytes]) -> AtlasRecord:
@@ -170,7 +169,7 @@ def _cache_path(n: int) -> str:
 
 
 def record_to_json_dict(rec: AtlasRecord) -> dict:
-    return dict(vars(rec), h=list(rec.h), h_lex=list(rec.h_lex))
+    return dict(vars(rec), h=list(rec.h), h_rot=list(rec.h_rot))
 
 
 def _is_int(x) -> bool:
@@ -231,12 +230,13 @@ def _trim_cache(n: int, kept: list[AtlasRecord]) -> None:
 
 
 def cache_load(n: int) -> dict[str, AtlasRecord]:
-    """Records keyed by canonical code; corrupted lines are reported and
-    skipped, duplicate codes resolve to the last complete line."""
+    """Records keyed by canonical code; corrupted lines are skipped with one
+    warning per file, duplicate codes resolve to the last complete line."""
     path = _cache_path(n)
     records: dict[str, AtlasRecord] = {}
     if not os.path.exists(path):
         return records
+    skipped: list[int] = []
     # a byte that is not UTF-8 spoils its line only: the line fails to parse
     with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -246,9 +246,12 @@ def cache_load(n: int) -> dict[str, AtlasRecord]:
             try:
                 rec = _record_from_json_dict(json.loads(line))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                warnings.warn(f"{path}:{lineno}: skipping corrupted cache line")
+                skipped.append(lineno)
                 continue
             records[rec.code] = rec
+    if skipped:
+        warnings.warn(f"{path}: skipping {len(skipped)} corrupted cache line(s), "
+                      f"the first at line {skipped[0]}")
     return records
 
 
@@ -345,7 +348,7 @@ def verify(
             note(prop, ok, g, rec)
         note("tuple_shape_r_r_p_n1_n1", t.as_tuple() == (t.reg, t.reg, t.pdim, n - 1, n - 1), g, rec)
         note("h_at_1_nonzero", sum(rec.h) != 0, g, rec)
-        note("h_order_independent", rec.h == rec.h_lex, g, rec)
+        note("h_order_independent", rec.h == rec.h_rot, g, rec)
         if rec.code in tables:
             table = tables[rec.code]
             if table is None:

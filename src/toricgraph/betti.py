@@ -171,10 +171,10 @@ def betti_table(g: Graph, reg: int, pdim: int) -> BettiTable:
     guard column, which are verified to vanish (valid for Cohen-Macaulay
     quotients, where beta_{i,j} = 0 whenever j > i + reg)."""
     entries: dict[tuple[int, int], int] = {}
-    ctx = _KoszulContext(g, pdim + reg + 2)
     cells = [(i, d) for i in range(pdim + 2) for d in range(reg + 2)]
-    for i, d in cells:  # refuse the whole table before its first rank
+    for i, d in cells:  # refuse the whole table before it builds anything
         _guard(g.q, i, i + d)
+    ctx = _KoszulContext(g, pdim + reg + 2)
     for i, d in cells:
         b = ctx.homology_dim(i, i + d)
         if b:

@@ -277,11 +277,21 @@ def h_polynomial(numerator: IntPoly, q: int, dim: int) -> IntPoly:
 
 
 def _in_kernel(g: Graph, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    # edge i maps to a vertex-degree vector packed into one int, a field of
-    # s bits per vertex; no field exceeds q < 2**s, so the packed sums of two
-    # edge masks are equal exactly when their vertex-degree vectors are
-    s = g.q.bit_length() + 1
-    packed = [1 << s * u | 1 << s * v for u, v in g.edges]
+    # an edge of some pair maps to its vertex-degree vector packed into one
+    # int, s bits for each endpoint of such an edge, numbered as met (a
+    # forest packs nothing); no field of a pair's image exceeds the number of
+    # used edges, below 2**s, so two images are equal iff their vectors are
+    used = 0
+    for lead, trail in pairs:
+        used |= lead | trail
+    s = used.bit_count().bit_length()
+    field: dict[int, int] = {}
+    packed = [0] * g.q
+    while used:
+        i = (used & -used).bit_length() - 1
+        for x in g.edges[i]:
+            packed[i] |= 1 << s * field.setdefault(x, len(field))
+        used ^= 1 << i
 
     def image(mask: int) -> int:
         # a mask holds about half a cycle's edges: walk its set bits, not all q
@@ -309,12 +319,12 @@ def edge_ring_gb(g: Graph, order: MonomialOrder = DEGREVLEX) -> ReducedGB:
     return gb
 
 
-def edge_ring_hilbert(g: Graph, order: MonomialOrder = DEGREVLEX) -> HilbertData:
-    """Hilbert data of the initial ideal of the toric ideal of g, read off
-    the minimal leading halves of the even cycles that the pruned search
-    `leading_cycles` keeps; every kept cycle is checked to lie in the
+def edge_ring_hilbert(g: Graph) -> HilbertData:
+    """Hilbert data of the degrevlex initial ideal of the toric ideal of g,
+    read off the minimal leading halves of the even cycles that the pruned
+    search `leading_cycles` keeps; every kept cycle is checked to lie in the
     kernel."""
-    pairs = _in_kernel(g, leading_cycles(g, order))
+    pairs = _in_kernel(g, leading_cycles(g))
     numerator = _numerator(_minimal(lead for lead, _ in pairs))
     dim, h = dim_and_h(numerator, g.q)
     return HilbertData(numerator, dim, h)
@@ -323,8 +333,8 @@ def edge_ring_hilbert(g: Graph, order: MonomialOrder = DEGREVLEX) -> HilbertData
 def invariant_tuple(g: Graph, data: HilbertData | None = None) -> InvariantTuple:
     """(reg, deg h, pdim, depth, dim) of the edge ring of a connected
     bipartite graph, via the Groebner/Hilbert route.  `data` is
-    `edge_ring_hilbert(g, order)`, for any order, when the caller already
-    holds it: the Hilbert series does not depend on the order."""
+    `edge_ring_hilbert` of g, or of g with its edges in any other order, when
+    the caller already holds it: the Hilbert series does not depend on it."""
     if g.n < 2 or g.q == 0:
         raise EmptyEdgeSetError("need at least one edge (two vertices)")
     # a connected graph has at least n - 1 edges; checked first, so that a
@@ -332,7 +342,7 @@ def invariant_tuple(g: Graph, data: HilbertData | None = None) -> InvariantTuple
     if g.q < g.n - 1 or not is_connected(g):
         raise DisconnectedError("invariants are computed for connected graphs only")
     if data is None:
-        data = edge_ring_hilbert(g, DEGREVLEX)
+        data = edge_ring_hilbert(g)
     dim = data.krull_dim
     if dim != g.n - 1:
         raise AssertionError(f"dim {dim} != n-1 = {g.n - 1}")

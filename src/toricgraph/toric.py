@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .graphs import (
     Cycle,
@@ -21,9 +20,6 @@ from .graphs import (
     bipartition,
     enumerate_cycles,
 )
-
-if TYPE_CHECKING:
-    from .groebner import MonomialOrder
 
 Monomial = tuple[int, ...]
 
@@ -102,47 +98,41 @@ def toric_generators(g: Graph) -> ToricPresentation:
     return ToricPresentation(g, gens)
 
 
-def leading_cycles(g: Graph, order: MonomialOrder) -> tuple[tuple[int, int], ...]:
-    """Even cycles of g whose binomials still form a Groebner basis for
-    `order`, as (lead, trail) edge masks with bit i for e_{i+1}, the leading
-    half first; a forest yields none.
+def leading_cycles(g: Graph) -> tuple[tuple[int, int], ...]:
+    """Even cycles of g whose binomials still form a Groebner basis under
+    degrevlex (e_1 > ... > e_q), as (lead, trail) edge masks with bit i for
+    e_{i+1}, the leading half first; a forest yields none.
 
     The halves of a cycle binomial are disjoint squarefree monomials of one
-    degree.  Under degrevlex the half without the cycle's largest edge index
-    leads; under lex and deglex the half with its smallest one does.  Each
-    cycle is grown once: it leaves that deciding edge (the root) from the
-    root's larger endpoint and walks through edges ranked below the root,
-    rank being the edge index for degrevlex and its reverse otherwise, so the
-    leading half grows one edge at a time.  A branch is cut
-    as soon as its leading half contains the leading half K of a cycle kept
-    before: K then divides the cycle's leading monomial, so the cycle adds
-    nothing to the initial ideal.  This holds in any visiting order, so the
-    kept cycles, a subset of the universal Groebner basis
-    `toric_generators(g)` with the same initial ideal, are a Groebner basis.
-    (The incidence matrix of a bipartite graph is totally unimodular, so its
-    circuits, the even-cycle binomials, form a universal Groebner basis:
-    Sturmfels, *Groebner Bases and Convex Polytopes*, 1996, ch. 8.)
+    degree, and the half without the cycle's largest edge index leads.  Each
+    cycle is grown once: it leaves that largest edge (the root) from the
+    root's larger endpoint and walks through edges of smaller index, so the
+    leading half grows one edge at a time.  A branch is cut as soon as its
+    leading half contains the leading half K of a cycle kept before: K then
+    divides the cycle's leading monomial, so the cycle adds nothing to the
+    initial ideal.  This holds in any visiting order, so the kept cycles, a
+    subset of the universal Groebner basis `toric_generators(g)` with the
+    same initial ideal, are a Groebner basis.  (The incidence matrix of a
+    bipartite graph is totally unimodular, so its circuits, the even-cycle
+    binomials, form a universal Groebner basis: Sturmfels, *Groebner Bases
+    and Convex Polytopes*, 1996, ch. 8.)
     """
     if g.q == 0:
         raise EmptyEdgeSetError("graph has no edges")
     bipartition(g)  # raises NotBipartiteError on an odd cycle
-    q = g.q
-    lex = order.kind != "degrevlex"
-    by_rank = range(q - 1, -1, -1) if lex else range(q)  # edge index of rank k
-    # incident[x]: (rank, edge index, neighbour) by rising rank, so the edges
+    # incident[x]: (edge index, neighbour) by rising index, so the edges
     # admitted below a root form a prefix
-    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    for k, i in enumerate(by_rank):
-        u, v = g.edges[i]
-        incident[u].append((k, i, v))
-        incident[v].append((k, i, u))
-    kept_with: list[list[int]] = [[] for _ in range(q)]  # kept leading masks by member edge
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        incident[u].append((i, v))
+        incident[v].append((i, u))
+    kept_with: list[list[int]] = [[] for _ in range(g.q)]  # kept leading masks by member edge
     found: list[tuple[int, int]] = []
 
     def walk(x: int, target: int, root: int, on_path: int, lead: int, trail: int,
              leads: bool) -> None:
-        for k, i, w in incident[x]:
-            if k >= root:
+        for i, w in incident[x]:
+            if i >= root:
                 break
             if leads:
                 grown = lead | 1 << i
@@ -166,16 +156,12 @@ def leading_cycles(g: Graph, order: MonomialOrder) -> tuple[tuple[int, int], ...
             elif not on_path >> w & 1:
                 walk(w, target, root, on_path | 1 << w, nlead, ntrail, not leads)
 
-    # The root sits at position 0: it trails under degrevlex and leads under
-    # lex, so the odd positions lead under degrevlex and the even ones under
-    # lex.  Roots by rising rank keep far fewer cycles than the reverse.
-    # `walk` recurses once per edge, so Python's recursion limit caps the
-    # length of a cycle it can grow.
+    # The root sits at position 0 and trails, so the odd positions lead.  Roots
+    # by rising index keep far fewer cycles than the reverse.  `walk` recurses
+    # once per edge, so Python's recursion limit caps the length of a cycle.
     try:
-        for root, i in enumerate(by_rank):
-            u, v = g.edges[i]
-            lead, trail = (1 << i, 0) if lex else (0, 1 << i)
-            walk(v, u, root, 1 << u | 1 << v, lead, trail, not lex)
+        for root, (u, v) in enumerate(g.edges):
+            walk(v, u, root, 1 << u | 1 << v, 0, 1 << root, True)
     except RecursionError:
         raise SizeGuardExceededError(
             f"a cycle is too long for the recursive cycle search "

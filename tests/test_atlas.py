@@ -66,8 +66,8 @@ CODE_DIGESTS = {
 # code replaced by the reference code of its class, in reference-code order:
 # pins every record field the pipeline computes
 RECORD_DIGESTS = {
-    8: "821dec815bf2dc7c827b50c4d62b5f1dbbc63e94ab8aa14c4328ab79767c4d7b",
-    9: "438d681ff75c569d42a6a7039d49a423b91f7e83e7455f20b7b6d749ebd43f46",
+    8: "42109415b789514731b4bf74070622707efa48f6c374df99bf05b4815192e9aa",
+    9: "7f3d28524438820c87c9bce12848b12a36db41ddd45100f82d0b9dd62f940209",
 }
 
 
@@ -380,7 +380,7 @@ class TestVerify:
         for line in path.read_text(encoding="utf-8").splitlines():
             d = json.loads(line)
             if d["code"] == c6:
-                assert d["h"] == d["h_lex"] == [1, 1, 1]
+                assert d["h"] == d["h_rot"] == [1, 1, 1]
                 d.update(fields)
             lines.append(json.dumps(d))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -389,7 +389,7 @@ class TestVerify:
     # the tampered cache is on disk, so with jobs=2 the workers see it too
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_betti_check_reads_the_stored_record(self, tmp_path, monkeypatch, jobs):
-        c6, g = self._tamper_c6(tmp_path, monkeypatch, h=[1, 2, 1], h_lex=[1, 2, 1])
+        c6, g = self._tamper_c6(tmp_path, monkeypatch, h=[1, 2, 1], h_rot=[1, 2, 1])
         report = verify(6, jobs=jobs, with_betti_oracle=True)
         assert report.counterexamples == (
             f"betti_euler_matches_numerator: n=6 code={c6} edges={g.edges}",
@@ -400,7 +400,7 @@ class TestVerify:
         self, tmp_path, monkeypatch, jobs
     ):
         # the true C_6 table has beta_{1,3} = 1, outside reg = 1
-        c6, g = self._tamper_c6(tmp_path, monkeypatch, reg=1, deg_h=1, h=[1, 1], h_lex=[1, 1])
+        c6, g = self._tamper_c6(tmp_path, monkeypatch, reg=1, deg_h=1, h=[1, 1], h_rot=[1, 1])
         report = verify(6, jobs=jobs, with_betti_oracle=True)
         assert report.counterexamples == (
             f"betti_oracle_agrees: n=6 code={c6} edges={g.edges}",
@@ -478,8 +478,8 @@ class TestVerify:
         (c6,) = [g for g in enumerate_connected_bipartite(6)
                  if canonical_form(g) == canonical_form(cycle_graph(6))]
 
-        def tampered(g, order):
-            data = real(g, order)
+        def tampered(g):
+            data = real(g)
             if g != c6:
                 return data
             h = (1, 1, 1, 1)  # deg h = 3, not below n // 2
@@ -636,8 +636,33 @@ class TestCache:
         (c6,) = [d for d in lines if d["code"] == rec.code]
         assert c6["reg"] == rec.invariants.reg
 
+    def test_lines_of_an_older_schema_warn_once_and_are_analyzed_again(
+        self, tmp_path, monkeypatch
+    ):
+        # lines written when the second h was keyed h_lex lack h_rot: one
+        # warning for the file counts them, their classes are analyzed
+        # again, and the old lines are dropped
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        fresh = verify(4)
+        path = tmp_path / "atlas-n4.jsonl"
+        old = []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            d = json.loads(line)
+            d["h_lex"] = d.pop("h_rot")
+            old.append(json.dumps(d) + "\n")
+        path.write_text("".join(old), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = verify(4)
+        assert [str(w.message) for w in caught] == [
+            f"{path}: skipping 3 corrupted cache line(s), the first at line 1"
+        ]
+        assert report == fresh
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert len(lines) == 3 and all("h_rot" in d and "h_lex" not in d for d in lines)
+
     @pytest.mark.parametrize("field, value", [
-        ("code", 7), ("q", True), ("mat", 1.0), ("h", "111"), ("h_lex", [1, "1"]),
+        ("code", 7), ("q", True), ("mat", 1.0), ("h", "111"), ("h_rot", [1, "1"]),
         ("seconds", "0.1"),
     ])
     def test_record_field_types_checked(self, field, value):
@@ -691,7 +716,7 @@ class TestCache:
         )
         serial, serial_tables = atlas_mod.sweep(5, use_cache=False, with_betti_oracle=True)
         strip = lambda rows: [
-            (r.code, r.invariants, r.mat, r.h, r.h_lex) for _, r in rows
+            (r.code, r.invariants, r.mat, r.h, r.h_rot) for _, r in rows
         ]
         assert strip(parallel) == strip(serial)
         # every class at n = 5 has at most 8 edges, so every class has a table
@@ -734,7 +759,7 @@ class TestCache:
         monkeypatch.setattr(atlas_mod, "analyze_graph", real)
         fresh = atlas_mod.sweep(6, use_cache=False)[0]
         strip = lambda rows: [
-            (g.edges, r.code, r.invariants, r.mat, r.h, r.h_lex)
+            (g.edges, r.code, r.invariants, r.mat, r.h, r.h_rot)
             for g, r in rows
         ]
         assert strip(resumed) == strip(fresh)

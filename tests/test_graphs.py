@@ -51,6 +51,13 @@ def bipartite_graphs(draw, max_a=3, max_b=4):
     return Graph(a + b, edges)
 
 
+def rotated(g):
+    """g with its edge list rotated by q // 2, as the atlas's second h run
+    lists it: another degrevlex initial ideal, the same Hilbert series."""
+    k = g.q // 2
+    return Graph(g.n, g.edges[k:] + g.edges[:k])
+
+
 @st.composite
 def connected_bipartite_graphs(draw, max_a=5, max_b=5):
     # a monotone staircase of cells from (0, 0) to (a-1, b-1) meets every

@@ -24,7 +24,7 @@ from toricgraph.groebner import (
 from toricgraph.hilbert import _minimal
 from toricgraph.toric import Binomial, leading_cycles, toric_generators
 
-from test_graphs import bipartite_graphs
+from test_graphs import bipartite_graphs, rotated
 
 
 def spoly(f, g, q):
@@ -215,18 +215,26 @@ class TestBuchbergerBinomialIdeals:
 
 
 class TestReduceUniversal:
-    """The even-cycle binomials are a universal Groebner basis, so the
-    invariant pipeline reduces the cycles it keeps to their minimal leading
-    halves without forming an S-pair; Buchberger must find the same
-    initial ideal."""
+    """The even-cycle binomials are a universal Groebner basis, so their
+    minimal leading halves under any order generate its initial ideal, and
+    Buchberger must find the same one.  Under degrevlex the invariant
+    pipeline reduces the cycles its search keeps to their minimal leading
+    halves without forming an S-pair; it is checked on each graph and on
+    its rotated copy, each against Buchberger's basis of that copy."""
 
     @pytest.mark.parametrize("order", [DEGREVLEX, DEGLEX, LEX], ids=lambda o: o.kind)
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_buchberger_on_every_class(self, n, order):
         for g in enumerate_connected_bipartite(n):
-            leads = _minimal(lead for lead, _ in leading_cycles(g, order))
-            gb = buchberger(order, toric_generators(g).generators, nvars=g.q)
-            assert sorted(leads) == sorted(_mask(m) for m in initial_ideal(gb).gens), g.edges
+            for h in (g, rotated(g)):
+                cycles = toric_generators(h).generators
+                gb = buchberger(order, cycles, nvars=h.q)
+                expected = sorted(_mask(m) for m in initial_ideal(gb).gens)
+                leads = _minimal(_mask(max(b.plus, b.minus, key=order.key)) for b in cycles)
+                assert sorted(leads) == expected, (h.edges, order.kind)
+                if order is DEGREVLEX:
+                    kept = _minimal(lead for lead, _ in leading_cycles(h))
+                    assert sorted(kept) == expected, h.edges
 
 
 class TestInitialIdeal:
@@ -268,7 +276,14 @@ class TestInitialIdeal:
 
 class TestOrderIndependence:
     def test_h_polynomial_spot_check(self):
-        from toricgraph.hilbert import edge_ring_hilbert
+        # the pipeline's h, on g and on its rotated copy, is the h of
+        # Buchberger's initial ideal under every order
+        from toricgraph.hilbert import edge_ring_hilbert, h_polynomial, hilbert_numerator
 
         for g in (cycle_graph(6), complete_bipartite(3, 3), complete_bipartite(2, 4)):
-            assert edge_ring_hilbert(g, DEGREVLEX).h_poly == edge_ring_hilbert(g, LEX).h_poly
+            h = edge_ring_hilbert(g).h_poly
+            assert edge_ring_hilbert(rotated(g)).h_poly == h
+            for order in (DEGREVLEX, DEGLEX, LEX):
+                gb = buchberger(order, toric_generators(g).generators, nvars=g.q)
+                numerator = hilbert_numerator(initial_ideal(gb), g.q)
+                assert h_polynomial(numerator, g.q, g.n - 1) == h, order.kind
