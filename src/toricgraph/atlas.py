@@ -18,6 +18,7 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from multiprocessing import Pool
+from typing import TextIO
 
 from .betti import BettiTable, betti_table, euler_numerator, invariants_from_betti
 from .graphs import (
@@ -194,11 +195,24 @@ def _record_from_json_dict(d: dict) -> AtlasRecord:
     return AtlasRecord(*(tuple(v) if isinstance(v, list) else v for v in values))
 
 
-def cache_store(rec: AtlasRecord) -> None:
-    path = _cache_path(rec.n)
+def _cache_line(rec: AtlasRecord) -> str:
+    return json.dumps(record_to_json_dict(rec)) + "\n"
+
+
+def _cache_append(n: int) -> TextIO:
+    """The cache file of n, opened for appending."""
+    path = _cache_path(n)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record_to_json_dict(rec)) + "\n")
+    return open(path, "a", encoding="utf-8")
+
+
+def cache_store(rec: AtlasRecord, fh: TextIO | None = None) -> None:
+    """Append the line of rec to fh, an append handle on the cache file of
+    rec.n, or else to that file opened for this line alone, and flush it:
+    a sweep cut short keeps every record written before the cut."""
+    with _cache_append(rec.n) if fh is None else nullcontext(fh) as out:
+        out.write(_cache_line(rec))
+        out.flush()
 
 
 def _trim_cache(n: int, kept: list[AtlasRecord]) -> None:
@@ -221,7 +235,7 @@ def _trim_cache(n: int, kept: list[AtlasRecord]) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(record_to_json_dict(rec)) + "\n" for rec in kept)
+            fh.writelines(map(_cache_line, kept))
         shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
@@ -268,7 +282,8 @@ def sweep(
 ) -> tuple[list[tuple[Graph, AtlasRecord]], dict[str, BettiTable | None]]:
     """Enumerate all classes on n vertices and attach records, reusing the
     JSONL cache for graphs already analyzed, trimming its file to one line
-    per such graph, and storing each new record as it arrives.  Returns
+    per such graph, and appending each new record through one handle,
+    flushed as the record arrives.  Returns
     (rows, tables): rows are (graph, record) pairs in enumeration order,
     which is code order; with the Betti oracle on, tables maps the code of
     every class with at most BETTI_MAX_EDGES edges to its Betti table, or
@@ -282,7 +297,9 @@ def sweep(
         _trim_cache(n, [rec for _, _, rec in classes if rec is not None])
     tasks = [(g.n, g.edges, code) for code, g, rec in classes if rec is None]
     busy = tasks or (with_betti_oracle and any(g.q <= BETTI_MAX_EDGES for _, g, _ in classes))
-    with Pool(jobs) if jobs > 1 and busy else nullcontext() as pool:
+    # the file opens after the pool forks, so no worker holds the handle
+    with (Pool(jobs) if jobs > 1 and busy else nullcontext()) as pool, \
+            (_cache_append(n) if use_cache and tasks else nullcontext()) as out:
         # one task per graph is mostly IPC (about 1 ms of work each at n = 9);
         # 16 chunks keep the workers busy and the records streaming in order
         new = (pool.imap(_analyze_edges, tasks, chunksize=max(1, len(tasks) // 16))
@@ -291,8 +308,8 @@ def sweep(
         for _, g, rec in classes:
             if rec is None:
                 rec = next(new)
-                if use_cache:
-                    cache_store(rec)
+                if out is not None:
+                    cache_store(rec, out)
             rows.append((g, rec))
         checked = sorted(
             ((g, rec) for g, rec in rows if with_betti_oracle and g.q <= BETTI_MAX_EDGES),

@@ -13,18 +13,26 @@ Sturmfels, *Combinatorial Commutative Algebra*, 2005, section 9.1), so every
 rank splits into many small blocks, each the simplicial boundary matrix of
 that complex.  One walk over the i-subsets T of the edges builds every block
 of a rank: T's boundary column joins the block deg T + s for each s in the
-semigroup layer, and no Koszul basis is stored.  A block's rank is taken by
-exact sparse column reduction over the rationals (Edelsbrunner and Harer,
+semigroup layer, and no Koszul basis is stored.  Almost every such complex
+is a cone, and a cone's boundary matrix needs no elimination: when an edge e
+of the block is an apex, meaning that (T - t) + e is a column for every
+column T without e and every t in T, the rank is the number of columns that
+hold e (the proof is in `_KoszulContext.rank`).  Only a block with no apex,
+which includes every block that carries homology, is reduced, by exact
+sparse column reduction over the rationals (Edelsbrunner and Harer,
 *Computational Topology*, 2010, VII.1), done in Python integers with
 fraction-free steps: no modular or floating-point arithmetic.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import comb, gcd
+from operator import or_
 
 from .graphs import Graph, SizeGuardExceededError, bipartition
 from .hilbert import IntPoly, poly_trim
@@ -80,25 +88,32 @@ class _KoszulContext:
         (T, s), T an i-subset of the edges and s in S_{j-i}, to the
         alternating sum of (T - t, s + deg t) over t in T: every term has
         multidegree deg T + s, and inside that block s is fixed by T, so the
-        block is the boundary matrix of its i-subsets, rows keyed by T - t."""
+        block is the boundary matrix of its i-subsets, rows keyed by T - t.
+        Each block is collected as the masks of its i-subsets and ranked by
+        `_block_rank`, which reduces only the blocks that are not cones.
+
+        The cone rule: if e is an apex of a block, its rank is the number a
+        of columns T that hold e.  Each such column has exactly one row
+        without e, T - e, so they carry a +-identity block and the rank is
+        at least a.  The apex property makes every row without e such a
+        T - e.  A boundary c whose rows all hold e, c = sum b_R (R + e),
+        has d(c) = 0, whose part without e is sum +-b_R R, so c = 0:
+        projecting the image onto the a rows without e loses nothing, and
+        the rank is at most a.  Neither step needs the columns to be closed
+        under taking faces, and both hold over Z and over Q."""
         key = (i, j)
         if key in self._ranks:
             return self._ranks[key]
         total = 0
         if 1 <= i <= self.q and j - i >= 0:
             elems = self.semigroup(j - i)
-            blocks: dict[int, list[dict[int, int]]] = {}
+            blocks: defaultdict[int, list[int]] = defaultdict(list)
             for t_set in combinations(range(self.q), i):
                 mask = sum(1 << t for t in t_set)
                 base = sum(self._deg[t] for t in t_set)
-                # the boundary of T: dropping its k-th smallest t has sign (-1)**k
-                column = {mask - (1 << t): (-1) ** k for k, t in enumerate(t_set)}
                 for s in elems:
-                    blocks.setdefault(base + s, []).append(column)
-            for columns in blocks.values():
-                # every column holds i >= 1 entries +-1, so one column has rank 1;
-                # the reduction works in place on copies, as blocks share columns
-                total += 1 if len(columns) == 1 else _column_rank(c.copy() for c in columns)
+                    blocks[base + s].append(mask)
+            total = sum(map(_block_rank, blocks.values()))
         self._ranks[key] = total
         return total
 
@@ -107,6 +122,52 @@ class _KoszulContext:
         q = self.q
         dim = 0 if i > q or j - i < 0 else comb(q, i) * len(self.semigroup(j - i))
         return dim - self.rank(i, j) - self.rank(i + 1, j)
+
+
+def _bits(mask: int) -> list[int]:
+    """The single-bit masks of `mask`, smallest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+def _is_apex(e: int, masks: list[int], family: set[int]) -> bool:
+    """Whether (T - t) | e is in the family for every T in masks without
+    the bit e and every t in T."""
+    for mask in masks:
+        if mask & e:
+            continue
+        rest = mask
+        while rest:
+            t = rest & -rest
+            if (mask ^ t) | e not in family:
+                return False
+            rest ^= t
+    return True
+
+
+def _block_rank(masks: list[int]) -> int:
+    """Exact rank of the boundary matrix whose columns are the distinct
+    i-sets `masks` (i >= 1), dropping the k-th smallest element with sign
+    (-1)**k.  An edge e is an apex when (T - t) | e is a column for every
+    column T without e and every t in T; then the rank is the number of
+    columns holding e, and no elimination is needed.  Only a block with no
+    apex is reduced by `_column_rank`."""
+    if len(masks) == 1:
+        return 1  # a column of i >= 1 entries +-1
+    family = set(masks)
+    union = reduce(or_, masks)
+    while union:
+        e = union & -union
+        if _is_apex(e, masks, family):
+            return len([mask for mask in masks if mask & e])
+        union ^= e
+    return _column_rank(
+        {mask ^ t: (-1) ** k for k, t in enumerate(_bits(mask))} for mask in masks
+    )
 
 
 def _column_rank(columns: Iterable[dict[int, int]]) -> int:

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import atlas
 from .betti import betti_table, betti_to_json_dict, invariants_from_betti, render_betti
@@ -290,7 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    # each warning, say a skipped cache line, prints as one stderr line;
+    # leaving the block restores the warnings module as it was
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        return _run(argv)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

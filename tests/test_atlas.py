@@ -35,6 +35,8 @@ from toricgraph.graphs import (
     bipartition,
     canonical_form,
     complete_bipartite,
+    complete_core_graph,
+    cycle_core_graph,
     cycle_graph,
     is_connected,
     matching_number,
@@ -320,6 +322,22 @@ class TestPairSets:
         assert cardinality_formula(2) == 1
         assert cardinality_formula(8) == 23
         assert cardinality_formula(9) == 29
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_each_witness_class_is_in_the_atlas_under_its_pair(self, n):
+        # the paper's witness for (r, p): the chorded cycle core for
+        # p <= r^2, the complete core otherwise
+        codes = {}
+        for _, rec in sweep(n, use_cache=False)[0]:
+            codes.setdefault((rec.reg, rec.pdim), set()).add(rec.code)
+        witnessed = 0
+        for r, p in sorted(theoretical_pairs(n)):
+            if r == 0:
+                continue
+            build = cycle_core_graph if p <= r * r else complete_core_graph
+            assert canonical_form(build(n, r, p)).hex() in codes[(r, p)], (n, r, p)
+            witnessed += 1
+        assert witnessed == cardinality_formula(n) - 1
 
     def test_formula_equals_direct_sum_up_to_100(self):
         for n in range(2, 101):
@@ -764,6 +782,27 @@ class TestCache:
         ]
         assert strip(resumed) == strip(fresh)
         assert len(cache_load(6)) == KNOWN_CLASS_COUNTS[6]
+
+    def test_each_record_is_on_disk_before_the_next_is_analyzed(self, tmp_path, monkeypatch):
+        # the sweep appends through one handle, flushed per record: a
+        # reader of the file sees every record written so far
+        import toricgraph.atlas as atlas_mod
+
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        real = atlas_mod.analyze_graph
+        written = []
+
+        def checking(g, code):
+            assert set(cache_load(6)) == set(written)
+            written.append(code.hex())
+            return real(g, code)
+
+        monkeypatch.setattr(atlas_mod, "analyze_graph", checking)
+        atlas_mod.sweep(6)
+        assert len(written) == KNOWN_CLASS_COUNTS[6]
+        assert set(cache_load(6)) == set(written)
+        lines = (tmp_path / "atlas-n6.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["code"] for line in lines] == written
 
     def test_torn_last_line_resumes_with_one_line_per_class(self, tmp_path, monkeypatch):
         # an interruption mid-write leaves half a line; the resumed sweep

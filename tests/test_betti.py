@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from toricgraph import betti, groebner, hilbert, toric
 from toricgraph.atlas import enumerate_connected_bipartite
 from toricgraph.betti import (
+    _block_rank,
     _column_rank,
     _KoszulContext,
     betti_table,
@@ -222,6 +223,72 @@ class TestIntRank:
         order = data.draw(st.permutations(range(n)))
         reordered = [[row[c] for c in order] for row in rows]
         assert _column_rank(sparse_columns(reordered)) == fraction_rank(rows)
+
+
+def boundary_columns(masks):
+    """The boundary matrix of the i-sets `masks` as sparse columns, built
+    from each set's sorted elements: dropping the k-th smallest element t
+    gives the row without t, with sign (-1)**k."""
+    columns = []
+    for mask in masks:
+        elems = [t for t in range(mask.bit_length()) if mask >> t & 1]
+        columns.append({mask & ~(1 << t): (-1) ** k for k, t in enumerate(elems)})
+    return columns
+
+
+def coned(family, e):
+    """The family with (T - t) + e added for every T without e and t in T,
+    which makes e an apex."""
+    bit = 1 << e
+    out = set(family)
+    for mask in family:
+        if not mask & bit:
+            out.update((mask & ~(1 << t)) | bit for t in range(mask.bit_length()) if mask >> t & 1)
+    return out
+
+
+class TestBlockRank:
+    """The cone rule: a block with an apex e has rank #{T : e in T}, with
+    no elimination; every other block is reduced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_matches_the_full_boundary_matrix(self, i, data):
+        isets = [sum(1 << t for t in c) for c in combinations(range(7), i)]
+        family = set(data.draw(st.lists(st.sampled_from(isets), min_size=1, max_size=12)))
+        apex = data.draw(st.none() | st.integers(0, 6))
+        if apex is not None:
+            family = coned(family, apex)
+        masks = data.draw(st.permutations(sorted(family)))
+        rank = _block_rank(masks)
+        assert rank == _column_rank(boundary_columns(masks))
+        if apex is not None:
+            assert rank == sum(1 for mask in masks if mask >> apex & 1)
+
+    def test_two_disjoint_triangles_have_no_apex(self, monkeypatch):
+        # C_6 in multidegree (1, ..., 1): the squarefree divisor complex is
+        # two disjoint filled triangles, its perfect matchings {0, 2, 4} and
+        # {1, 3, 5}; the block of their edges (rank 4) leaves the one cycle
+        # that gives beta_{1,3} = 1, and no edge is an apex of it
+        reduced = []
+        real = betti._column_rank
+
+        def spy(columns):
+            columns = list(columns)
+            reduced.append(sorted(map(sorted, columns)))
+            return real(columns)
+
+        monkeypatch.setattr(betti, "_column_rank", spy)
+        edges = [0b000101, 0b010001, 0b010100, 0b001010, 0b100010, 0b101000]
+        assert _block_rank(edges) == 4
+        assert reduced == [sorted(map(sorted, boundary_columns(edges)))]
+        reduced.clear()
+        assert betti_table(cycle_graph(6), 2, 1).entries == {(0, 0): 1, (1, 3): 1}
+        # the same block and the block of the two triangles themselves
+        # are the only ones the table reduces
+        triangles = [0b010101, 0b101010]
+        assert sorted(reduced) == sorted(
+            sorted(map(sorted, boundary_columns(block))) for block in (edges, triangles))
 
 
 class TestStandardMonomials:

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import pytest
 
@@ -186,6 +187,23 @@ class TestVerify:
         assert code == 0
         report = json.loads(out_file.read_text())
         assert report["property_passes"]["betti_oracle_agrees"] == 3
+
+    def test_bad_cache_line_warns_on_one_stderr_line(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv(CACHE_ENV, str(cache))
+        out_file = tmp_path / "r.json"
+        assert run(capsys, "verify", "--n", "6", "--out", str(out_file))[0] == 0
+        with open(cache / "atlas-n6.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"code": "02\n')
+        shown, filters = warnings.showwarning, warnings.filters[:]
+        code, out, err = run(capsys, "verify", "--n", "6", "--out", str(out_file))
+        assert code == 0
+        assert out == "n=6: 17 classes, 8 pairs, MATCH\n"
+        assert err.splitlines() == [
+            f"warning: {cache / 'atlas-n6.jsonl'}: skipping 1 corrupted cache line(s), "
+            "the first at line 18"
+        ]
+        assert warnings.showwarning is shown and warnings.filters == filters
 
     def test_counterexample_exit_3(self, capsys, tmp_path, monkeypatch):
         fake = VerificationReport(
