@@ -140,19 +140,20 @@ def analyze_graph(g: Graph, code: bytes) -> AtlasRecord:
                        data.h_poly, h_rot)
 
 
-def _analyze_edges(args: tuple[int, tuple, bytes]) -> AtlasRecord:
-    n, edges, code = args
-    return analyze_graph(Graph(n, edges), code)
-
-
-def _betti_job(args: tuple[int, tuple, int, int]) -> BettiTable | None:
-    """The Betti table of one graph, or None when a nonzero Betti number lies
-    outside the record's (reg, pdim)."""
-    n, edges, reg, pdim = args
+def _job(task: tuple[int, tuple, bytes, AtlasRecord | None, bool]
+         ) -> tuple[AtlasRecord, BettiTable | None]:
+    """The record of one class, analyzed when the task holds none, and with
+    the oracle on its Betti table, or None when a nonzero Betti number lies
+    outside the record's (reg, pdim).  The graph is built here, so the
+    sweep's own graphs cache nothing the analysis computes."""
+    n, edges, code, rec, oracle = task
+    g = Graph(n, edges)
+    if rec is None:
+        rec = analyze_graph(g, code)
     try:
-        return betti_table(Graph(n, edges), reg, pdim)
+        return rec, betti_table(g, rec.reg, rec.pdim) if oracle else None
     except AssertionError:
-        return None
+        return rec, None
 
 
 # ---------------------------------------------------------------------------
@@ -288,36 +289,34 @@ def sweep(
     which is code order; with the Betti oracle on, tables maps the code of
     every class with at most BETTI_MAX_EDGES edges to its Betti table, or
     to None when a nonzero Betti number lies outside the record's (reg,
-    pdim), and is {} otherwise.  With jobs > 1 one pool of that many
-    workers, opened only when there is work, analyzes the missing records
-    and then computes the tables, largest first."""
+    pdim), and is {} otherwise.  Each class that lacks a record or needs a
+    table is one task, in code order, and its record and table come back
+    together; with jobs > 1 one pool of that many workers, opened only when
+    there is a task, runs them."""
     cached = cache_load(n) if use_cache else {}
-    classes = [(code, g, cached.get(code.hex())) for code, g in _enumerate_with_codes(n, force)]
+    classes = [(code, g, cached.get(code.hex()), with_betti_oracle and g.q <= BETTI_MAX_EDGES)
+               for code, g in _enumerate_with_codes(n, force)]
     if use_cache:
-        _trim_cache(n, [rec for _, _, rec in classes if rec is not None])
-    tasks = [(g.n, g.edges, code) for code, g, rec in classes if rec is None]
-    busy = tasks or (with_betti_oracle and any(g.q <= BETTI_MAX_EDGES for _, g, _ in classes))
+        _trim_cache(n, [rec for _, _, rec, _ in classes if rec is not None])
+    tasks = [(g.n, g.edges, code, rec, oracle)
+             for code, g, rec, oracle in classes if rec is None or oracle]
     # the file opens after the pool forks, so no worker holds the handle
-    with (Pool(jobs) if jobs > 1 and busy else nullcontext()) as pool, \
+    with (Pool(jobs) if jobs > 1 and tasks else nullcontext()) as pool, \
             (_cache_append(n) if use_cache and tasks else nullcontext()) as out:
         # one task per graph is mostly IPC (about 1 ms of work each at n = 9);
-        # 16 chunks keep the workers busy and the records streaming in order
-        new = (pool.imap(_analyze_edges, tasks, chunksize=max(1, len(tasks) // 16))
-               if pool else map(_analyze_edges, tasks))
-        rows = []
-        for _, g, rec in classes:
-            if rec is None:
-                rec = next(new)
-                if out is not None:
-                    cache_store(rec, out)
+        # 16 chunks keep the workers busy and the results streaming in order
+        done = (pool.imap(_job, tasks, chunksize=max(1, len(tasks) // 16))
+                if pool else map(_job, tasks))
+        rows, tables = [], {}
+        for _, g, rec, oracle in classes:
+            if rec is None or oracle:
+                new, table = next(done)
+                if rec is None and out is not None:
+                    cache_store(new, out)
+                rec = new
+                if oracle:
+                    tables[rec.code] = table
             rows.append((g, rec))
-        checked = sorted(
-            ((g, rec) for g, rec in rows if with_betti_oracle and g.q <= BETTI_MAX_EDGES),
-            key=lambda row: -row[0].q,
-        )
-        tasks = [(g.n, g.edges, rec.reg, rec.pdim) for g, rec in checked]
-        tables = dict(zip((rec.code for _, rec in checked),
-                          pool.imap(_betti_job, tasks) if pool else map(_betti_job, tasks)))
     return rows, tables
 
 

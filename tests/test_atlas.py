@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import warnings
 
 import pytest
@@ -24,6 +25,7 @@ from toricgraph.atlas import (
     theoretical_pairs,
     verify,
 )
+from toricgraph.betti import _KoszulContext
 from toricgraph.graphs import (
     Graph,
     NotBipartiteError,
@@ -456,19 +458,70 @@ class TestVerify:
         import toricgraph.atlas as atlas_mod
 
         real = atlas_mod.Pool
-        opened = []
+        opened, imaps = [], []
 
         def counting(jobs):
             opened.append(jobs)
-            return real(jobs)
+            pool = real(jobs)
+            real_imap = pool.imap
+
+            def imap(*args, **kwargs):
+                imaps.append(jobs)
+                return real_imap(*args, **kwargs)
+
+            pool.imap = imap
+            return pool
 
         monkeypatch.setattr(atlas_mod, "Pool", counting)
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-        verify(6, jobs=2, with_betti_oracle=True)
-        assert opened == [2]
+        cold = verify(6, jobs=2, with_betti_oracle=True)
+        # each class's record and table come back from one task
+        assert opened == [2] and imaps == [2]
         report = verify(6, jobs=2)
         assert opened == [2]
         assert report.equal and report.counterexamples == ()
+        # warm, the classes with q <= 8 go to the pool for their tables alone
+        path = tmp_path / "atlas-n6.jsonl"
+        before = path.read_bytes()
+        warm = verify(6, jobs=2, with_betti_oracle=True)
+        assert opened == [2, 2] and imaps == [2, 2]
+        assert path.read_bytes() == before
+        assert warm == cold and cold.counterexamples == ()
+        real_analyze = atlas_mod.analyze_graph
+        analyzed = []
+
+        def spy(g, code):
+            analyzed.append(g)
+            return real_analyze(g, code)
+
+        monkeypatch.setattr(atlas_mod, "analyze_graph", spy)
+        tables = sweep(6, with_betti_oracle=True)[1]
+        assert analyzed == [] and len(tables) == 16
+        assert path.read_bytes() == before
+
+    def test_a_fault_in_the_analysis_is_not_a_betti_verdict(self, monkeypatch, tmp_path, capsys):
+        # C_6 has q = 6, so the oracle checks it; an AssertionError of its
+        # analysis must leave verify, and the CLI exits 3
+        from toricgraph import cli
+
+        real = atlas_mod.edge_ring_hilbert
+        c6 = canonical_form(cycle_graph(6))
+
+        def faulty(g):
+            if canonical_form(g) == c6:
+                raise AssertionError("kernel check failed")
+            return real(g)
+
+        monkeypatch.setattr(atlas_mod, "edge_ring_hilbert", faulty)
+        with pytest.raises(AssertionError, match="kernel check failed"):
+            verify(6, with_betti_oracle=True, use_cache=False)
+        out = tmp_path / "report.json"
+        code = cli.main(["verify", "--n", "6", "--with-betti-oracle", "--no-cache",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "internal error: kernel check failed" in err.splitlines()
+        assert not out.exists()
 
     def test_verify_checks_one_sweep(self, monkeypatch):
         import inspect
@@ -554,6 +607,22 @@ class TestAnalyzeGraph:
             lines.append((d["code"], json.dumps(d) + "\n"))
         digest = hashlib.sha256("".join(line for _, line in sorted(lines)).encode())
         assert digest.hexdigest() == RECORD_DIGESTS[n]
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_h_matches_the_semigroup_layers(self, n):
+        # K[G] is standard graded and Cohen-Macaulay of dimension n - 1, so
+        # h is the Hilbert function of an Artinian reduction and has no
+        # internal zeros: with s = deg h, the coefficients c_0..c_s of
+        # (1 - t)^(n-1) sum H(d) t^d, H(d) = |S_d|, must be h and c_{s+1}
+        # must vanish, which bounds the true deg h by s.  No Groebner basis
+        # is involved.
+        for g, rec in sweep(n, use_cache=False)[0]:
+            s = len(rec.h) - 1
+            ctx = _KoszulContext(g, s + 1)
+            layers = [len(ctx.semigroup(d)) for d in range(s + 2)]
+            c = [sum((-1) ** k * math.comb(n - 1, k) * layers[i - k] for k in range(i + 1))
+                 for i in range(s + 2)]
+            assert c == [*rec.h, 0], (rec.code, g.edges)
 
 
 class TestCache:
