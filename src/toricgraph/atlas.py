@@ -15,12 +15,13 @@ import shutil
 import tempfile
 import time
 import warnings
+from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from multiprocessing import Pool
 from typing import TextIO
 
-from .betti import BettiTable, betti_table, euler_numerator, invariants_from_betti
+from .betti import betti_table, euler_numerator, invariants_from_betti
 from .graphs import (
     Graph,
     SizeGuardExceededError,
@@ -141,19 +142,28 @@ def analyze_graph(g: Graph, code: bytes) -> AtlasRecord:
 
 
 def _job(task: tuple[int, tuple, bytes, AtlasRecord | None, bool]
-         ) -> tuple[AtlasRecord, BettiTable | None]:
-    """The record of one class, analyzed when the task holds none, and with
-    the oracle on its Betti table, or None when a nonzero Betti number lies
+         ) -> tuple[AtlasRecord, list[tuple[str, bool]]]:
+    """The record of one class, analyzed when the task holds none, and the
+    Betti oracle's (property, ok) verdicts on it: none with the oracle off,
+    betti_oracle_agrees then betti_euler_matches_numerator with it on, and
+    betti_oracle_agrees alone, failed, when a nonzero Betti number lies
     outside the record's (reg, pdim).  The graph is built here, so the
     sweep's own graphs cache nothing the analysis computes."""
     n, edges, code, rec, oracle = task
     g = Graph(n, edges)
     if rec is None:
         rec = analyze_graph(g, code)
+    if not oracle:
+        return rec, []
     try:
-        return rec, betti_table(g, rec.reg, rec.pdim) if oracle else None
+        table = betti_table(g, rec.reg, rec.pdim)
     except AssertionError:
-        return rec, None
+        return rec, [("betti_oracle_agrees", False)]
+    numerator = rec.h
+    for _ in range(g.q - rec.dim):
+        numerator = poly_mul(numerator, (1, -1))
+    return rec, [("betti_oracle_agrees", invariants_from_betti(table) == (rec.reg, rec.pdim)),
+                 ("betti_euler_matches_numerator", euler_numerator(table) == numerator)]
 
 
 # ---------------------------------------------------------------------------
@@ -280,44 +290,41 @@ def sweep(
     use_cache: bool = True,
     force: bool = False,
     with_betti_oracle: bool = False,
-) -> tuple[list[tuple[Graph, AtlasRecord]], dict[str, BettiTable | None]]:
-    """Enumerate all classes on n vertices and attach records, reusing the
-    JSONL cache for graphs already analyzed, trimming its file to one line
-    per such graph, and appending each new record through one handle,
-    flushed as the record arrives.  Returns
-    (rows, tables): rows are (graph, record) pairs in enumeration order,
-    which is code order; with the Betti oracle on, tables maps the code of
-    every class with at most BETTI_MAX_EDGES edges to its Betti table, or
-    to None when a nonzero Betti number lies outside the record's (reg,
-    pdim), and is {} otherwise.  Each class that lacks a record or needs a
-    table is one task, in code order, and its record and table come back
-    together; with jobs > 1 one pool of that many workers, opened only when
-    there is a task, runs them."""
-    cached = cache_load(n) if use_cache else {}
-    classes = [(code, g, cached.get(code.hex()), with_betti_oracle and g.q <= BETTI_MAX_EDGES)
-               for code, g in _enumerate_with_codes(n, force)]
-    if use_cache:
-        _trim_cache(n, [rec for _, _, rec, _ in classes if rec is not None])
-    tasks = [(g.n, g.edges, code, rec, oracle)
-             for code, g, rec, oracle in classes if rec is None or oracle]
-    # the file opens after the pool forks, so no worker holds the handle
-    with (Pool(jobs) if jobs > 1 and tasks else nullcontext()) as pool, \
-            (_cache_append(n) if use_cache and tasks else nullcontext()) as out:
-        # one task per graph is mostly IPC (about 1 ms of work each at n = 9);
-        # 16 chunks keep the workers busy and the results streaming in order
-        done = (pool.imap(_job, tasks, chunksize=max(1, len(tasks) // 16))
-                if pool else map(_job, tasks))
-        rows, tables = [], {}
-        for _, g, rec, oracle in classes:
-            if rec is None or oracle:
-                new, table = next(done)
-                if rec is None and out is not None:
-                    cache_store(new, out)
-                rec = new
-                if oracle:
-                    tables[rec.code] = table
-            rows.append((g, rec))
-    return rows, tables
+) -> Iterator[tuple[Graph, AtlasRecord, list[tuple[str, bool]]]]:
+    """Yield (graph, record, verdicts) for every class on n vertices in code
+    order, each as its result arrives.  Records of graphs already analyzed
+    come from the JSONL cache, whose file is first trimmed to one line per
+    such graph; each new record is appended through one handle and flushed.
+    verdicts are _job's Betti oracle verdicts, empty for a class with more
+    than BETTI_MAX_EDGES edges or with the oracle off.  Each class that
+    lacks a record or needs verdicts is one task, in code order; with
+    jobs > 1 one pool of that many workers runs them, opened before the
+    cache is read and the classes are enumerated, so no worker maps the
+    parent's pages."""
+    # enumeration checks it too, but only once the pool is open
+    _check_guard(n, force)
+    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        cached = cache_load(n) if use_cache else {}
+        classes = [(code, g, cached.get(code.hex()), with_betti_oracle and g.q <= BETTI_MAX_EDGES)
+                   for code, g in _enumerate_with_codes(n, force)]
+        if use_cache:
+            _trim_cache(n, [rec for _, _, rec, _ in classes if rec is not None])
+        tasks = [(g.n, g.edges, code, rec, oracle)
+                 for code, g, rec, oracle in classes if rec is None or oracle]
+        # the file opens after the pool forks, so no worker holds the handle
+        with _cache_append(n) if use_cache and tasks else nullcontext() as out:
+            # one task per graph is mostly IPC (about 1 ms of work each at n = 9);
+            # 16 chunks keep the workers busy and the results streaming in order
+            done = (pool.imap(_job, tasks, chunksize=max(1, len(tasks) // 16))
+                    if pool else map(_job, tasks))
+            for _, g, rec, oracle in classes:
+                verdicts = []
+                if rec is None or oracle:
+                    new, verdicts = next(done)
+                    if rec is None and out is not None:
+                        cache_store(new, out)
+                    rec = new
+                yield g, rec, verdicts
 
 
 def property_sweep(g: Graph, t: InvariantTuple, mat: int) -> list[tuple[str, bool]]:
@@ -343,39 +350,31 @@ def verify(
     use_cache: bool = True,
     force: bool = False,
 ) -> VerificationReport:
-    """Run the full check for one n over one `sweep`: pair-set equality,
-    cardinality, tuple shape, the per-graph property sweep, and optionally
-    the Betti oracle on every class with at most BETTI_MAX_EDGES edges.
-    Failures land in the report rather than raising."""
-    rows, tables = sweep(n, jobs, use_cache, force, with_betti_oracle)
-    computed = {(rec.reg, rec.pdim) for _, rec in rows}
-    theoretical = theoretical_pairs(n)
+    """Run the full check for one n over one `sweep`, class by class as the
+    classes arrive: pair-set equality, cardinality, tuple shape, the
+    per-graph property sweep, and optionally the Betti oracle on every
+    class with at most BETTI_MAX_EDGES edges.  Only the pair set, the pass
+    counts and the failures are kept.  Failures land in the report rather
+    than raising."""
+    computed: set[tuple[int, int]] = set()
     passes: dict[str, int] = {}
     failures: list[str] = []
-
-    def note(prop: str, ok: bool, g: Graph, rec: AtlasRecord) -> None:
-        passes[prop] = passes.get(prop, 0) + (1 if ok else 0)
-        if not ok:
-            failures.append(f"{prop}: n={g.n} code={rec.code} edges={g.edges}")
-
-    for g, rec in rows:
+    class_count = 0
+    for g, rec, verdicts in sweep(n, jobs, use_cache, force, with_betti_oracle):
+        class_count += 1
         t = rec.invariants
-        for prop, ok in property_sweep(g, t, rec.mat):
-            note(prop, ok, g, rec)
-        note("tuple_shape_r_r_p_n1_n1", t.as_tuple() == (t.reg, t.reg, t.pdim, n - 1, n - 1), g, rec)
-        note("h_at_1_nonzero", sum(rec.h) != 0, g, rec)
-        note("h_order_independent", rec.h == rec.h_rot, g, rec)
-        if rec.code in tables:
-            table = tables[rec.code]
-            if table is None:
-                # a nonzero Betti number outside the record's (reg, pdim)
-                note("betti_oracle_agrees", False, g, rec)
-                continue
-            note("betti_oracle_agrees", invariants_from_betti(table) == (t.reg, t.pdim), g, rec)
-            numerator = rec.h
-            for _ in range(g.q - t.dim):
-                numerator = poly_mul(numerator, (1, -1))
-            note("betti_euler_matches_numerator", euler_numerator(table) == numerator, g, rec)
+        computed.add((t.reg, t.pdim))
+        for prop, ok in [
+            *property_sweep(g, t, rec.mat),
+            ("tuple_shape_r_r_p_n1_n1", t.as_tuple() == (t.reg, t.reg, t.pdim, n - 1, n - 1)),
+            ("h_at_1_nonzero", sum(rec.h) != 0),
+            ("h_order_independent", rec.h == rec.h_rot),
+            *verdicts,
+        ]:
+            passes[prop] = passes.get(prop, 0) + (1 if ok else 0)
+            if not ok:
+                failures.append(f"{prop}: n={g.n} code={rec.code} edges={g.edges}")
+    theoretical = theoretical_pairs(n)
     if computed != theoretical:
         failures.append(
             f"pair sets differ: missing={sorted(theoretical - computed)} "
@@ -390,7 +389,7 @@ def verify(
         computed=tuple(sorted(computed)),
         theoretical=tuple(sorted(theoretical)),
         equal=computed == theoretical,
-        class_count=len(rows),
+        class_count=class_count,
         property_passes=passes,
         counterexamples=tuple(failures),
     )

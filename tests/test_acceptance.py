@@ -102,7 +102,7 @@ def test_criterion_6_betti_oracle_agreement():
     start = time.perf_counter()
     checked = 0
     for n in range(2, 9):
-        for g, rec in atlas.sweep(n)[0]:
+        for g, rec, _ in atlas.sweep(n):
             if g.q > 8:
                 continue
             t = rec.invariants
@@ -144,7 +144,7 @@ def test_criterion_7_property_suite():
         assert EXPECTED_PROPERTIES <= set(report.property_passes)
         for prop in EXPECTED_PROPERTIES:
             assert report.property_passes[prop] == report.class_count, (n, prop)
-        for g, _ in atlas.sweep(n)[0]:
+        for g, _, _ in atlas.sweep(n):
             assert all(c.length % 2 == 0 for c in enumerate_cycles(g)), g.edges
         graphs_checked += report.class_count
     elapsed = time.perf_counter() - start

@@ -330,7 +330,7 @@ class TestPairSets:
         # the paper's witness for (r, p): the chorded cycle core for
         # p <= r^2, the complete core otherwise
         codes = {}
-        for _, rec in sweep(n, use_cache=False)[0]:
+        for _, rec, _ in sweep(n, use_cache=False):
             codes.setdefault((rec.reg, rec.pdim), set()).add(rec.code)
         witnessed = 0
         for r, p in sorted(theoretical_pairs(n)):
@@ -392,9 +392,9 @@ class TestVerify:
         """Sweep n=6 into a cache at tmp_path, overwrite fields of the stored
         C_6 record, and return the C_6 code and its enumerated graph."""
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-        rows = sweep(6)[0]
+        rows = list(sweep(6))
         c6 = canonical_form(cycle_graph(6)).hex()
-        (g,) = [g for g, rec in rows if rec.code == c6]
+        (g,) = [g for g, rec, _ in rows if rec.code == c6]
         path = tmp_path / "atlas-n6.jsonl"
         lines = []
         for line in path.read_text(encoding="utf-8").splitlines():
@@ -454,37 +454,42 @@ class TestVerify:
         assert report.counterexamples == ()
         assert len(calls) == parent_calls
 
-    def test_one_pool_per_verify_and_none_on_a_warm_cache(self, monkeypatch, tmp_path):
-        import toricgraph.atlas as atlas_mod
-
+    @staticmethod
+    def _count_pools(monkeypatch, events):
+        """Make atlas.Pool append "pool of <jobs>" to events when a pool
+        opens and "imap" when its imap is called."""
         real = atlas_mod.Pool
-        opened, imaps = [], []
 
         def counting(jobs):
-            opened.append(jobs)
+            events.append(f"pool of {jobs}")
             pool = real(jobs)
             real_imap = pool.imap
 
             def imap(*args, **kwargs):
-                imaps.append(jobs)
+                events.append("imap")
                 return real_imap(*args, **kwargs)
 
             pool.imap = imap
             return pool
 
         monkeypatch.setattr(atlas_mod, "Pool", counting)
+
+    def test_one_pool_per_sweep_warm_or_cold(self, monkeypatch, tmp_path):
+        events = []
+        self._count_pools(monkeypatch, events)
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         cold = verify(6, jobs=2, with_betti_oracle=True)
-        # each class's record and table come back from one task
-        assert opened == [2] and imaps == [2]
+        # each class's record and verdicts come back from one task
+        assert events == ["pool of 2", "imap"]
+        # warm and without the oracle there is no task, and still one pool
         report = verify(6, jobs=2)
-        assert opened == [2]
+        assert events == ["pool of 2", "imap"] * 2
         assert report.equal and report.counterexamples == ()
-        # warm, the classes with q <= 8 go to the pool for their tables alone
+        # warm, the classes with q <= 8 go to the pool for their verdicts alone
         path = tmp_path / "atlas-n6.jsonl"
         before = path.read_bytes()
         warm = verify(6, jobs=2, with_betti_oracle=True)
-        assert opened == [2, 2] and imaps == [2, 2]
+        assert events == ["pool of 2", "imap"] * 3
         assert path.read_bytes() == before
         assert warm == cold and cold.counterexamples == ()
         real_analyze = atlas_mod.analyze_graph
@@ -495,9 +500,58 @@ class TestVerify:
             return real_analyze(g, code)
 
         monkeypatch.setattr(atlas_mod, "analyze_graph", spy)
-        tables = sweep(6, with_betti_oracle=True)[1]
-        assert analyzed == [] and len(tables) == 16
+        judged = [verdicts for _, _, verdicts in sweep(6, with_betti_oracle=True) if verdicts]
+        assert analyzed == [] and len(judged) == 16
         assert path.read_bytes() == before
+
+    def test_the_pool_opens_before_the_cache_is_read_and_the_classes_enumerated(
+        self, monkeypatch, tmp_path
+    ):
+        events = []
+        self._count_pools(monkeypatch, events)
+        real_load, real_enumerate = atlas_mod.cache_load, atlas_mod._enumerate_with_codes
+
+        def loading(n):
+            events.append("cache_load")
+            return real_load(n)
+
+        def enumerating(n, force=False):
+            for item in real_enumerate(n, force):
+                events.append("class")
+                yield item
+
+        monkeypatch.setattr(atlas_mod, "cache_load", loading)
+        monkeypatch.setattr(atlas_mod, "_enumerate_with_codes", enumerating)
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        report = verify(6, jobs=2)
+        assert report.equal and report.counterexamples == ()
+        assert events == ["pool of 2", "cache_load", *["class"] * KNOWN_CLASS_COUNTS[6], "imap"]
+
+    def test_a_refused_n_starts_no_worker(self, monkeypatch):
+        events = []
+        self._count_pools(monkeypatch, events)
+        with pytest.raises(SizeGuardExceededError, match="exceeds the guard"):
+            verify(11, jobs=2)
+        assert events == []
+
+    def test_serial_verify_checks_each_class_before_analyzing_the_next(self, monkeypatch):
+        real_analyze, real_check = atlas_mod.analyze_graph, atlas_mod.property_sweep
+        events = []
+
+        def analyzing(g, code):
+            events.append(("analyze", g.edges))
+            return real_analyze(g, code)
+
+        def checking(g, t, mat):
+            events.append(("check", g.edges))
+            return real_check(g, t, mat)
+
+        monkeypatch.setattr(atlas_mod, "analyze_graph", analyzing)
+        monkeypatch.setattr(atlas_mod, "property_sweep", checking)
+        report = verify(6, use_cache=False)
+        assert report.equal and report.counterexamples == ()
+        edges = [g.edges for g in enumerate_connected_bipartite(6)]
+        assert events == [(event, e) for e in edges for event in ("analyze", "check")]
 
     def test_a_fault_in_the_analysis_is_not_a_betti_verdict(self, monkeypatch, tmp_path, capsys):
         # C_6 has q = 6, so the oracle checks it; an AssertionError of its
@@ -570,7 +624,7 @@ class TestVerify:
             return [(prop, ok and (prop, g.q) != ("pdim_q_n_1", 5)) for prop, ok in real(g, t, mat)]
 
         monkeypatch.setattr(atlas_mod, "property_sweep", failing)
-        (row,) = [(g, rec) for g, rec in sweep(5, use_cache=False)[0] if g.q == 5]
+        (row,) = [(g, rec) for g, rec, _ in sweep(5, use_cache=False) if g.q == 5]
         g, rec = row
         report = verify(5, use_cache=False)
         assert report.counterexamples == (f"pdim_q_n_1: n=5 code={rec.code} edges={g.edges}",)
@@ -601,7 +655,7 @@ class TestAnalyzeGraph:
     @pytest.mark.parametrize("n", sorted(RECORD_DIGESTS))
     def test_records_are_pinned(self, n):
         lines = []
-        for g, rec in sweep(n, use_cache=False)[0]:
+        for g, rec, _ in sweep(n, use_cache=False):
             d = dict(record_to_json_dict(rec), code=reference_code(g).hex())
             del d["seconds"]
             lines.append((d["code"], json.dumps(d) + "\n"))
@@ -616,7 +670,7 @@ class TestAnalyzeGraph:
         # (1 - t)^(n-1) sum H(d) t^d, H(d) = |S_d|, must be h and c_{s+1}
         # must vanish, which bounds the true deg h by s.  No Groebner basis
         # is involved.
-        for g, rec in sweep(n, use_cache=False)[0]:
+        for g, rec, _ in sweep(n, use_cache=False):
             s = len(rec.h) - 1
             ctx = _KoszulContext(g, s + 1)
             layers = [len(ctx.semigroup(d)) for d in range(s + 2)]
@@ -671,7 +725,7 @@ class TestCache:
 
     def test_wrongly_typed_field_skipped_and_reanalyzed(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-        rows = sweep(4)[0]
+        rows = list(sweep(4))
         path = tmp_path / "atlas-n4.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines()
         d = json.loads(lines[0])
@@ -687,7 +741,7 @@ class TestCache:
             warnings.simplefilter("error")
             loaded = cache_load(4)
         assert {c: r.invariants for c, r in loaded.items()} == {
-            r.code: r.invariants for _, r in rows
+            r.code: r.invariants for _, r, _ in rows
         }
 
     def test_line_that_is_not_utf8_skipped_and_dropped(self, tmp_path, monkeypatch):
@@ -780,42 +834,42 @@ class TestCache:
         import toricgraph.atlas as atlas_mod
 
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-        first = atlas_mod.sweep(4)[0]
-        second = atlas_mod.sweep(4)[0]
-        assert [r for _, r in first] == [r for _, r in second]
+        first = list(atlas_mod.sweep(4))
+        second = list(atlas_mod.sweep(4))
+        assert [r for _, r, _ in first] == [r for _, r, _ in second]
 
     def test_sweep_into_another_directory_writes_there(self, tmp_path, monkeypatch):
         import toricgraph.atlas as atlas_mod
 
         first, second = tmp_path / "first", tmp_path / "second"
         monkeypatch.setenv(CACHE_ENV, str(first))
-        atlas_mod.sweep(4)
+        list(atlas_mod.sweep(4))
         monkeypatch.setenv(CACHE_ENV, str(second))
-        rows = atlas_mod.sweep(4)[0]
+        rows = list(atlas_mod.sweep(4))
         assert (second / "atlas-n4.jsonl").exists()
-        assert set(cache_load(4)) == {rec.code for _, rec in rows}
+        assert set(cache_load(4)) == {rec.code for _, rec, _ in rows}
 
     def test_parallel_sweep_matches_serial(self, tmp_path):
         import toricgraph.atlas as atlas_mod
 
-        parallel, parallel_tables = atlas_mod.sweep(
-            5, jobs=2, use_cache=False, with_betti_oracle=True
-        )
-        serial, serial_tables = atlas_mod.sweep(5, use_cache=False, with_betti_oracle=True)
+        parallel = list(atlas_mod.sweep(5, jobs=2, use_cache=False, with_betti_oracle=True))
+        serial = list(atlas_mod.sweep(5, use_cache=False, with_betti_oracle=True))
         strip = lambda rows: [
-            (r.code, r.invariants, r.mat, r.h, r.h_rot) for _, r in rows
+            (r.code, r.invariants, r.mat, r.h, r.h_rot, verdicts) for _, r, verdicts in rows
         ]
         assert strip(parallel) == strip(serial)
-        # every class at n = 5 has at most 8 edges, so every class has a table
-        assert parallel_tables == serial_tables
-        assert set(serial_tables) == {r.code for _, r in serial}
-        assert None not in serial_tables.values()
+        # every class at n = 5 has at most 8 edges, so every class gets both
+        # verdicts, and all hold
+        assert len(serial) == KNOWN_CLASS_COUNTS[5]
+        assert all(verdicts == [("betti_oracle_agrees", True),
+                                ("betti_euler_matches_numerator", True)]
+                   for _, _, verdicts in serial)
 
-    def test_tables_empty_without_the_oracle(self):
+    def test_no_verdicts_without_the_oracle(self):
         import toricgraph.atlas as atlas_mod
 
-        rows, tables = atlas_mod.sweep(4, use_cache=False)
-        assert len(rows) == 3 and tables == {}
+        rows = list(atlas_mod.sweep(4, use_cache=False))
+        assert len(rows) == 3 and all(verdicts == [] for _, _, verdicts in rows)
 
     def test_interrupted_sweep_resumes(self, tmp_path, monkeypatch):
         import toricgraph.atlas as atlas_mod
@@ -832,7 +886,7 @@ class TestCache:
 
         monkeypatch.setattr(atlas_mod, "analyze_graph", failing)
         with pytest.raises(RuntimeError, match="interrupted"):
-            atlas_mod.sweep(6)
+            list(atlas_mod.sweep(6))
         assert len(cache_load(6)) == 5
 
         def counting(g, code):
@@ -840,14 +894,14 @@ class TestCache:
             return real(g, code)
 
         monkeypatch.setattr(atlas_mod, "analyze_graph", counting)
-        resumed = atlas_mod.sweep(6)[0]
+        resumed = list(atlas_mod.sweep(6))
         assert len(analyzed) == KNOWN_CLASS_COUNTS[6]
         assert len({canonical_form(g) for g in analyzed}) == KNOWN_CLASS_COUNTS[6]
         monkeypatch.setattr(atlas_mod, "analyze_graph", real)
-        fresh = atlas_mod.sweep(6, use_cache=False)[0]
+        fresh = list(atlas_mod.sweep(6, use_cache=False))
         strip = lambda rows: [
             (g.edges, r.code, r.invariants, r.mat, r.h, r.h_rot)
-            for g, r in rows
+            for g, r, _ in rows
         ]
         assert strip(resumed) == strip(fresh)
         assert len(cache_load(6)) == KNOWN_CLASS_COUNTS[6]
@@ -867,7 +921,7 @@ class TestCache:
             return real(g, code)
 
         monkeypatch.setattr(atlas_mod, "analyze_graph", checking)
-        atlas_mod.sweep(6)
+        list(atlas_mod.sweep(6))
         assert len(written) == KNOWN_CLASS_COUNTS[6]
         assert set(cache_load(6)) == set(written)
         lines = (tmp_path / "atlas-n6.jsonl").read_text(encoding="utf-8").splitlines()
@@ -879,7 +933,7 @@ class TestCache:
         import toricgraph.atlas as atlas_mod
 
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-        fresh = atlas_mod.sweep(6)[0]
+        fresh = list(atlas_mod.sweep(6))
         path = tmp_path / "atlas-n6.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(lines[:14]) + lines[14][: len(lines[14]) // 2],
@@ -893,14 +947,14 @@ class TestCache:
 
         monkeypatch.setattr(atlas_mod, "analyze_graph", counting)
         with pytest.warns(UserWarning, match="corrupted"):
-            resumed = atlas_mod.sweep(6)[0]
+            resumed = list(atlas_mod.sweep(6))
         assert len(analyzed) == KNOWN_CLASS_COUNTS[6] - 14
         assert len(path.read_text(encoding="utf-8").splitlines()) == KNOWN_CLASS_COUNTS[6]
         analyzed.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            again = atlas_mod.sweep(6)[0]
+            again = list(atlas_mod.sweep(6))
         assert analyzed == []
         assert len(path.read_text(encoding="utf-8").splitlines()) == KNOWN_CLASS_COUNTS[6]
-        strip = lambda rows: [(g.edges, r.code, r.invariants, r.h) for g, r in rows]
+        strip = lambda rows: [(g.edges, r.code, r.invariants, r.h) for g, r, _ in rows]
         assert strip(resumed) == strip(again) == strip(fresh)
