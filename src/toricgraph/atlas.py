@@ -25,6 +25,8 @@ from .betti import betti_table, euler_numerator, invariants_from_betti
 from .graphs import (
     Graph,
     SizeGuardExceededError,
+    _check_form_bits,
+    _code_graph,
     _split_classes,
     canonical_form,  # unused here; perfbench/spans.py rebinds atlas.canonical_form
     is_connected,  # unused here; perfbench/spans.py rebinds atlas.is_connected
@@ -90,13 +92,15 @@ def _check_guard(n: int, force: bool) -> None:
             f"n = {n} exceeds the guard {ENUMERATION_GUARD}; "
             "pass force=True (--force) to override"
         )
+    # the widest split, a = n // 2, comes last: refuse it before the first
+    _check_form_bits(n // 2, n - n // 2)
 
 
 def _enumerate_with_codes(n: int, force: bool = False):
     _check_guard(n, force)
     for a in range(1, n // 2 + 1):
-        for code, edges in _split_classes(a, n - a):
-            yield code, Graph(n, edges)
+        for code in _split_classes(a, n - a):
+            yield code, _code_graph(code)
 
 
 def enumerate_connected_bipartite(n: int, force: bool = False):
@@ -141,16 +145,17 @@ def analyze_graph(g: Graph, code: bytes) -> AtlasRecord:
                        data.h_poly, h_rot)
 
 
-def _job(task: tuple[int, tuple, bytes, AtlasRecord | None, bool]
+def _job(task: tuple[bytes, AtlasRecord | None, bool]
          ) -> tuple[AtlasRecord, list[tuple[str, bool]]]:
-    """The record of one class, analyzed when the task holds none, and the
-    Betti oracle's (property, ok) verdicts on it: none with the oracle off,
-    betti_oracle_agrees then betti_euler_matches_numerator with it on, and
-    betti_oracle_agrees alone, failed, when a nonzero Betti number lies
-    outside the record's (reg, pdim).  The graph is built here, so the
-    sweep's own graphs cache nothing the analysis computes."""
-    n, edges, code, rec, oracle = task
-    g = Graph(n, edges)
+    """The record of the class of code `task[0]`, analyzed when the task
+    holds none, and the Betti oracle's (property, ok) verdicts on it: none
+    with the oracle off, betti_oracle_agrees then
+    betti_euler_matches_numerator with it on, and betti_oracle_agrees alone,
+    failed, when a nonzero Betti number lies outside the record's (reg,
+    pdim).  The graph is decoded here from the code, so a task is small to
+    send and the sweep's own graphs cache nothing the analysis computes."""
+    code, rec, oracle = task
+    g = _code_graph(code)
     if rec is None:
         rec = analyze_graph(g, code)
     if not oracle:
@@ -296,35 +301,35 @@ def sweep(
     come from the JSONL cache, whose file is first trimmed to one line per
     such graph; each new record is appended through one handle and flushed.
     verdicts are _job's Betti oracle verdicts, empty for a class with more
-    than BETTI_MAX_EDGES edges or with the oracle off.  Each class that
-    lacks a record or needs verdicts is one task, in code order; with
-    jobs > 1 one pool of that many workers runs them, opened before the
-    cache is read and the classes are enumerated, so no worker maps the
-    parent's pages."""
+    than BETTI_MAX_EDGES edges or with the oracle off.  The sweep keeps each
+    class as (code, cached record or None, oracle flag) and yields a graph
+    decoded afresh from the code.  Each class that lacks a record or needs
+    verdicts is one task, that same triple, in code order; with jobs > 1 one
+    pool of that many workers runs them, opened before the cache is read
+    and the classes are enumerated, so no worker maps the parent's pages."""
     # enumeration checks it too, but only once the pool is open
     _check_guard(n, force)
     with Pool(jobs) if jobs > 1 else nullcontext() as pool:
         cached = cache_load(n) if use_cache else {}
-        classes = [(code, g, cached.get(code.hex()), with_betti_oracle and g.q <= BETTI_MAX_EDGES)
+        classes = [(code, cached.get(code.hex()), with_betti_oracle and g.q <= BETTI_MAX_EDGES)
                    for code, g in _enumerate_with_codes(n, force)]
         if use_cache:
-            _trim_cache(n, [rec for _, _, rec, _ in classes if rec is not None])
-        tasks = [(g.n, g.edges, code, rec, oracle)
-                 for code, g, rec, oracle in classes if rec is None or oracle]
+            _trim_cache(n, [rec for _, rec, _ in classes if rec is not None])
+        tasks = [task for task in classes if task[1] is None or task[2]]
         # the file opens after the pool forks, so no worker holds the handle
         with _cache_append(n) if use_cache and tasks else nullcontext() as out:
             # one task per graph is mostly IPC (about 1 ms of work each at n = 9);
             # 16 chunks keep the workers busy and the results streaming in order
             done = (pool.imap(_job, tasks, chunksize=max(1, len(tasks) // 16))
                     if pool else map(_job, tasks))
-            for _, g, rec, oracle in classes:
+            for code, rec, oracle in classes:
                 verdicts = []
                 if rec is None or oracle:
                     new, verdicts = next(done)
                     if rec is None and out is not None:
                         cache_store(new, out)
                     rec = new
-                yield g, rec, verdicts
+                yield _code_graph(code), rec, verdicts
 
 
 def property_sweep(g: Graph, t: InvariantTuple, mat: int) -> list[tuple[str, bool]]:

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import Counter
+from array import array
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from math import factorial, prod
 
@@ -444,16 +446,20 @@ def max_edges_for_reg(r: int, n: int) -> int:
 # most significant, so that integer order is lexicographic order on row
 # tuples.  Every class has such a form: iterating row-sort and column-sort
 # strictly increases sum M[i][j]*2^i*2^j, so it ends at a matrix sorted both
-# ways.  A class's smallest form, coded by _form_code, is its canonical code.
+# ways.  A class's smallest form, coded by _form_code, is its canonical code,
+# and _code_graph turns a code back into the class's graph.
 #
 # _doubly_sorted builds the candidates of a split (a, b) by orderly
-# generation (Read 1978; McKay 1998), _split_classes lists the split's
-# classes, and canonical_form packs a Graph and takes the smallest form the
-# forms search lists.  A connected bipartite graph has a unique bipartition
-# up to swapping the parts, so no class appears under two splits.
+# generation (Read 1978; McKay 1998) into one sorted array('Q'), so a form
+# has at most _FORM_BITS bits; _split_classes walks them with one "met" byte
+# per candidate and lists the split's classes; and canonical_form packs a
+# Graph and takes the smallest form the forms search lists.  A connected
+# bipartite graph has a unique bipartition up to swapping the parts, so no
+# class appears under two splits.
 
 _PERM_GUARD = 200_000
 _MAX_CODE_VERTICES = 255  # the code header stores n in one byte
+_FORM_BITS = 64  # a candidate is one item of an array('Q')
 
 
 def biadjacency_connected(b: int, rows: list[int]) -> bool:
@@ -470,16 +476,18 @@ def biadjacency_connected(b: int, rows: list[int]) -> bool:
     return seen == (1 << b) - 1
 
 
-def _extend_rows(out: list[int], left: int, b: int, runs: tuple[tuple[int, int], ...],
+def _extend_rows(out: defaultdict[int, array], left: int, b: int,
+                 runs: tuple[tuple[int, int], ...],
                  bound: int, packed: int, shift: int, acc: int) -> None:
     # Choose row r_{left-1} <= bound, stored at bit `shift` of `packed`; `acc`
     # is the union of the rows chosen so far.  The columns of a run [lo, hi)
     # are tied on every row chosen so far, so there the new row must read
     # 0..01..1 (bit j is column j) to keep the columns sorted; the run then
-    # splits into its 0-part and its 1-part.
+    # splits into its 0-part and its 1-part.  A finished matrix goes to the
+    # bucket of its top row r_0, the row chosen last, which is `bound`.
     if not left:
         if acc == (1 << b) - 1:
-            out.append(packed)
+            out[bound].append(packed)
         return
     for cuts in product(*(range(lo, hi + 1) for lo, hi in runs)):
         row = 0
@@ -496,12 +504,28 @@ def _extend_rows(out: list[int], left: int, b: int, runs: tuple[tuple[int, int],
         _extend_rows(out, left - 1, b, split, row, packed | row << shift, shift + b, acc | row)
 
 
-def _doubly_sorted(a: int, b: int) -> list[int]:
-    """Every doubly sorted a x b matrix, packed and sorted, its rows chosen
-    from r_{a-1} down to r_0, each at most the one before."""
-    out: list[int] = []
-    _extend_rows(out, a, b, ((0, b),), (1 << b) - 1, 0, 0, 0)
-    out.sort()
+def _check_form_bits(a: int, b: int) -> None:
+    if a * b > _FORM_BITS:
+        raise SizeGuardExceededError(
+            f"the {a} x {b} forms have {a * b} bits, more than the "
+            f"{_FORM_BITS} of a stored candidate"
+        )
+
+
+def _doubly_sorted(a: int, b: int) -> array:
+    """Every doubly sorted a x b matrix, packed, in one sorted array('Q').
+    Its rows are chosen from r_{a-1} down to r_0, each at most the one
+    before.  The matrices are gathered by their top row r_0, which holds the
+    most significant bits, and each bucket is sorted on its own and joined
+    in top-row order, so no list of the whole split is built.  Raises
+    SizeGuardExceededError, before any matrix is built, when a * b exceeds
+    _FORM_BITS."""
+    _check_form_bits(a, b)
+    buckets: defaultdict[int, array] = defaultdict(partial(array, "Q"))
+    _extend_rows(buckets, a, b, ((0, b),), (1 << b) - 1, 0, 0, 0)
+    out = array("Q")
+    for top in sorted(buckets):
+        out.fromlist(sorted(buckets.pop(top)))
     return out
 
 
@@ -574,6 +598,12 @@ def _doubly_sorted_forms(a: int, b: int, rows: list[int]) -> set[int]:
     return forms
 
 
+def _form_rows(a: int, b: int, form: int) -> list[int]:
+    # the packed rows r_0 .. r_{a-1} of a form, r_0 most significant
+    full = (1 << b) - 1
+    return [(form >> ((a - 1 - i) * b)) & full for i in range(a)]
+
+
 def _form_code(a: int, b: int, form: int) -> bytes:
     """Header bytes 2, n, a, then the packed a x b form, big-endian.  The 2
     marks this definition: a record cached under an older code (header 1)
@@ -581,32 +611,39 @@ def _form_code(a: int, b: int, form: int) -> bytes:
     return bytes([2, a + b, a]) + form.to_bytes((a * b + 7) // 8, "big")
 
 
+def _code_graph(code: bytes) -> Graph:
+    """The graph of a code of _form_code, its inverse: edge (i, a + j) joins
+    row i to column j of the form, in row-major order."""
+    n, a = code[1], code[2]
+    b = n - a
+    rows = _form_rows(a, b, int.from_bytes(code[3:], "big"))
+    return Graph(n, tuple((i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1))
+
+
 def _split_classes(a: int, b: int):
-    """(code, edges) for every class of connected bipartite graphs with parts
-    of sizes a <= b, in code order; edge (i, a + j) joins row i to column j
-    of the class's smallest form.  Candidates come sorted, so a connected one
+    """The code of every class of connected bipartite graphs with parts of
+    sizes a <= b, in code order.  Candidates come sorted, so a connected one
     is the first of its class if and only if it is the smallest of its own
     forms, the test of orderly generation; a form the search failed to list
     for an earlier class fails it when it comes."""
-    full = (1 << b) - 1
-    # the other forms of the classes yielded so far; each is met once
-    # further on and skipped
-    pending: set[int] = set()
-    for packed in _doubly_sorted(a, b):
-        if packed in pending:
-            pending.remove(packed)
+    candidates = _doubly_sorted(a, b)
+    # met[k] marks candidate k as a form of a class yielded already; a
+    # listed form that is no candidate marks nothing
+    met = bytearray(len(candidates))
+    for k, packed in enumerate(candidates):
+        if met[k]:
             continue
-        rows = [(packed >> ((a - 1 - i) * b)) & full for i in range(a)]
+        rows = _form_rows(a, b, packed)
         if not biadjacency_connected(b, rows):
             continue
         forms = _doubly_sorted_forms(a, b, rows)
         if min(forms) != packed:
             continue
-        pending |= forms
-        pending.discard(packed)
-        yield _form_code(a, b, packed), tuple(
-            (i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1
-        )
+        for form in forms:
+            i = bisect_left(candidates, form, k + 1)
+            if i < len(candidates) and candidates[i] == form:
+                met[i] = 1
+        yield _form_code(a, b, packed)
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
@@ -30,9 +31,11 @@ from toricgraph.graphs import (
     Graph,
     NotBipartiteError,
     SizeGuardExceededError,
+    _code_graph,
     _doubly_sorted,
     _doubly_sorted_forms,
     _form_code,
+    _split_classes,
     biadjacency_connected,
     bipartition,
     canonical_form,
@@ -222,6 +225,51 @@ class TestEnumeration:
         # every dropped form was met and searched, on top of one search per class
         assert len(searches) == len(expected) + len(dropped)
         assert bool(dropped) == (n >= 6)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_a_listed_value_that_is_no_candidate_marks_nothing(self, n, monkeypatch):
+        # the search also lists, for every class, a value strictly between
+        # two candidates of its split; the candidate above it must still
+        # be met as itself
+        expected = [(code, g.edges) for code, g in _enumerate_with_codes(n)]
+        held = {(a, n - a): set(_doubly_sorted(a, n - a)) for a in range(1, n // 2 + 1)}
+        strays = []
+
+        def with_a_stray(a, b, rows):
+            forms = _doubly_sorted_forms(a, b, rows)
+            stray = min(forms) + 1
+            while stray in held[a, b]:
+                stray += 1
+            if stray < max(held[a, b]):
+                strays.append(stray)
+                forms.add(stray)
+            return forms
+
+        monkeypatch.setattr(graphs_mod, "_doubly_sorted_forms", with_a_stray)
+        assert [(code, g.edges) for code, g in _enumerate_with_codes(n)] == expected
+        assert bool(strays) == (n >= 4)
+
+    def test_a_split_is_listed_in_bounded_memory(self):
+        # 19,286 candidates at 5 + 5, held as 8 bytes and one "met" byte
+        # each: no list or set of Python ints as large as the split
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in _split_classes(5, 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 1897
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_the_decoder_inverts_the_code(self, n):
+        for code, g in _enumerate_with_codes(n):
+            a, b = code[2], n - code[2]
+            rows = unpack_rows(int.from_bytes(code[3:], "big"), a, b)
+            assert code[:2] == bytes([2, n])
+            assert _code_graph(code).edges == g.edges == tuple(
+                (i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1)
+            assert canonical_form(g) == code
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_classes_come_in_code_order(self, n):
@@ -532,6 +580,9 @@ class TestVerify:
         self._count_pools(monkeypatch, events)
         with pytest.raises(SizeGuardExceededError, match="exceeds the guard"):
             verify(11, jobs=2)
+        # forced, n = 17 still splits as 8 + 9, wider than a stored candidate
+        with pytest.raises(SizeGuardExceededError, match="72 bits"):
+            verify(17, jobs=2, force=True)
         assert events == []
 
     def test_serial_verify_checks_each_class_before_analyzing_the_next(self, monkeypatch):

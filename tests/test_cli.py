@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from toricgraph import cli
+from toricgraph import graphs as graphs_mod
 from toricgraph.atlas import CACHE_ENV, VerificationReport
 
 
@@ -132,6 +133,16 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--n", "12")
         assert code == 1
         assert "guard" in err
+
+    def test_a_split_wider_than_64_bits_exits_1_before_any_split(self, capsys, monkeypatch):
+        # forced, n = 17 would first list the narrower splits at length;
+        # its widest split, 8 + 9, is refused before them
+        built = []
+        monkeypatch.setattr(graphs_mod, "_extend_rows", lambda *args: built.append(args))
+        code, out, err = run(capsys, "enumerate", "--n", "17", "--force")
+        assert code == 1 and out == "" and built == []
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "72 bits" in err
 
     def test_closed_pipe_exits_1_silently(self, capsys, monkeypatch):
         # `toricgraph enumerate ... | head -1`: the reader has gone away

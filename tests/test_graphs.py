@@ -16,6 +16,7 @@ from toricgraph.graphs import (
     GraphFormatError,
     NotBipartiteError,
     SizeGuardExceededError,
+    _code_graph,
     _doubly_sorted,
     _doubly_sorted_forms,
     _form_code,
@@ -648,6 +649,21 @@ class TestCanonicalForm:
             code, ref = canonical_form(g), reference_code(g)
             assert to_reference.setdefault(code, ref) == ref
             assert from_reference.setdefault(ref, code) == code
+
+    def test_the_one_vertex_code_decodes(self):
+        g = Graph(1, ())
+        assert _code_graph(canonical_form(g)) == g
+
+    def test_a_form_wider_than_64_bits_raises_before_any_candidate(self, monkeypatch):
+        # a candidate is one array('Q') item: 1 x 64 is the widest split
+        # stored, 8 x 9, the widest split of n = 17, is refused
+        assert list(_doubly_sorted(1, 64)) == [(1 << 64) - 1]
+        built = []
+        monkeypatch.setattr(graphs_mod, "_extend_rows", lambda *args: built.append(args))
+        for a, b in ((8, 9), (1, 65)):
+            with pytest.raises(SizeGuardExceededError, match=f"{a * b} bits"):
+                _doubly_sorted(a, b)
+        assert built == []
 
     def test_more_than_255_vertices_raise_before_placing(self, monkeypatch):
         # the code header stores n in one byte; that check comes before the
