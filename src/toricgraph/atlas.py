@@ -26,6 +26,7 @@ from .graphs import (
     Graph,
     SizeGuardExceededError,
     _check_form_bits,
+    _code_form,
     _code_graph,
     _split_classes,
     canonical_form,  # unused here; perfbench/spans.py rebinds atlas.canonical_form
@@ -97,17 +98,17 @@ def _check_guard(n: int, force: bool) -> None:
 
 
 def _enumerate_with_codes(n: int, force: bool = False):
+    """The canonical code of every class on n vertices, in code order."""
     _check_guard(n, force)
     for a in range(1, n // 2 + 1):
-        for code in _split_classes(a, n - a):
-            yield code, _code_graph(code)
+        yield from _split_classes(a, n - a)
 
 
 def enumerate_connected_bipartite(n: int, force: bool = False):
     """One representative Graph per isomorphism class of connected bipartite
     graphs on n vertices, in order of canonical code."""
-    for _, g in _enumerate_with_codes(n, force):
-        yield g
+    for code in _enumerate_with_codes(n, force):
+        yield _code_graph(code)
 
 
 def theoretical_pairs(n: int) -> set[tuple[int, int]]:
@@ -311,8 +312,10 @@ def sweep(
     _check_guard(n, force)
     with Pool(jobs) if jobs > 1 else nullcontext() as pool:
         cached = cache_load(n) if use_cache else {}
-        classes = [(code, cached.get(code.hex()), with_betti_oracle and g.q <= BETTI_MAX_EDGES)
-                   for code, g in _enumerate_with_codes(n, force)]
+        # a class's edge count q is the popcount of the form its code packs
+        classes = [(code, cached.get(code.hex()),
+                    with_betti_oracle and _code_form(code).bit_count() <= BETTI_MAX_EDGES)
+                   for code in _enumerate_with_codes(n, force)]
         if use_cache:
             _trim_cache(n, [rec for _, rec, _ in classes if rec is not None])
         tasks = [task for task in classes if task[1] is None or task[2]]

@@ -572,29 +572,47 @@ def _row_orders(rows: list[int]) -> int:
     return factorial(len(rows)) // prod(map(factorial, Counter(rows).values()))
 
 
+def _columns(b: int, rows: list[int]) -> list[int]:
+    # the packed columns of the rows over b columns: bit i of column j is
+    # bit j of row i, so the last row is a column's most significant bit
+    return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(b)]
+
+
+def _transpose(a: int, form: int) -> int:
+    # the a x a form whose rows are the columns of `form`: they are
+    # nondecreasing, and its columns are the rows of `form`, so it is a
+    # doubly sorted form of the same class
+    return sum(c << ((a - 1 - j) * a) for j, c in enumerate(_columns(a, _form_rows(a, a, form))))
+
+
 def _doubly_sorted_forms(a: int, b: int, rows: list[int]) -> set[int]:
     """Every doubly sorted form of the class of the connected a x b
     biadjacency matrix with the given rows.  The row order fixes a form,
     since its columns then sort by column vector, so the search places
-    original rows from position a-1 down, each at most the one before; when
-    a == b it searches the transpose too.  Raises SizeGuardExceededError,
-    before any placement, when a + b exceeds _MAX_CODE_VERTICES or a side
-    searched has more than _PERM_GUARD distinct row orders."""
+    original rows from position a-1 down, each at most the one before.
+    When a == b the forms with the original columns as rows are the
+    transposes of those with the original rows as rows, so only the side
+    with fewer row orders is searched and each form it lists is
+    transposed.  Raises SizeGuardExceededError, before any placement, when
+    a + b exceeds _MAX_CODE_VERTICES or either side has more than
+    _PERM_GUARD distinct row orders."""
     if a + b > _MAX_CODE_VERTICES:
         raise SizeGuardExceededError(
             f"canonical codes store n in one byte: n = {a + b} exceeds {_MAX_CODE_VERTICES}"
         )
     sides = [rows]
     if a == b:
-        sides.append([sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(b)])
-    if max(map(_row_orders, sides)) > _PERM_GUARD:
+        sides.append(_columns(b, rows))
+    orders = list(map(_row_orders, sides))
+    if max(orders) > _PERM_GUARD:
         raise SizeGuardExceededError(
             f"canonical form would place more than {_PERM_GUARD} row orders"
         )
     full = (1 << b) - 1
     forms: set[int] = set()
-    for side in sides:
-        _place_rows(forms, sorted(side), [(0, full)], full, 0, 0, b)
+    _place_rows(forms, sorted(sides[orders.index(min(orders))]), [(0, full)], full, 0, 0, b)
+    if a == b:
+        forms |= {_transpose(a, form) for form in forms}
     return forms
 
 
@@ -611,12 +629,17 @@ def _form_code(a: int, b: int, form: int) -> bytes:
     return bytes([2, a + b, a]) + form.to_bytes((a * b + 7) // 8, "big")
 
 
+def _code_form(code: bytes) -> int:
+    # the packed form of a code of _form_code, its bytes after the header
+    return int.from_bytes(code[3:], "big")
+
+
 def _code_graph(code: bytes) -> Graph:
     """The graph of a code of _form_code, its inverse: edge (i, a + j) joins
     row i to column j of the form, in row-major order."""
     n, a = code[1], code[2]
     b = n - a
-    rows = _form_rows(a, b, int.from_bytes(code[3:], "big"))
+    rows = _form_rows(a, b, _code_form(code))
     return Graph(n, tuple((i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1))
 
 

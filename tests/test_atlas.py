@@ -99,6 +99,11 @@ def unpack_rows(packed, a, b):
     return tuple((packed >> ((a - 1 - i) * b)) & ((1 << b) - 1) for i in range(a))
 
 
+def coded_edges(n):
+    """(code, edges of its decoded graph) for every class on n vertices."""
+    return [(code, _code_graph(code).edges) for code in _enumerate_with_codes(n)]
+
+
 def reference_split_classes(n):
     """The enumeration that codes every connected doubly sorted candidate
     with the reference code: (a, b, reference code, members) per class in
@@ -203,13 +208,13 @@ class TestEnumeration:
                 flipped = [int(format(r, f"0{b}b")[::-1], 2) for r in rows]
                 assert _doubly_sorted_forms(a, b, rows) == set(members)
                 assert _doubly_sorted_forms(a, b, flipped) == set(members)
-        assert [(code, g.edges) for code, g in _enumerate_with_codes(n)] == expected
+        assert coded_edges(n) == expected
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_a_form_the_search_misses_yields_no_class_twice(self, n, monkeypatch):
         # the search drops the largest form of every class with more than
         # one, so each is met later as a connected candidate of its own
-        expected = [(code, g.edges) for code, g in _enumerate_with_codes(n)]
+        expected = coded_edges(n)
         searches, dropped = [], set()
 
         def missing_largest(a, b, rows):
@@ -221,7 +226,7 @@ class TestEnumeration:
             return forms
 
         monkeypatch.setattr(graphs_mod, "_doubly_sorted_forms", missing_largest)
-        assert [(code, g.edges) for code, g in _enumerate_with_codes(n)] == expected
+        assert coded_edges(n) == expected
         # every dropped form was met and searched, on top of one search per class
         assert len(searches) == len(expected) + len(dropped)
         assert bool(dropped) == (n >= 6)
@@ -231,7 +236,7 @@ class TestEnumeration:
         # the search also lists, for every class, a value strictly between
         # two candidates of its split; the candidate above it must still
         # be met as itself
-        expected = [(code, g.edges) for code, g in _enumerate_with_codes(n)]
+        expected = coded_edges(n)
         held = {(a, n - a): set(_doubly_sorted(a, n - a)) for a in range(1, n // 2 + 1)}
         strays = []
 
@@ -246,7 +251,7 @@ class TestEnumeration:
             return forms
 
         monkeypatch.setattr(graphs_mod, "_doubly_sorted_forms", with_a_stray)
-        assert [(code, g.edges) for code, g in _enumerate_with_codes(n)] == expected
+        assert coded_edges(n) == expected
         assert bool(strays) == (n >= 4)
 
     def test_a_split_is_listed_in_bounded_memory(self):
@@ -263,7 +268,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_the_decoder_inverts_the_code(self, n):
-        for code, g in _enumerate_with_codes(n):
+        for code, g in zip(_enumerate_with_codes(n), enumerate_connected_bipartite(n)):
             a, b = code[2], n - code[2]
             rows = unpack_rows(int.from_bytes(code[3:], "big"), a, b)
             assert code[:2] == bytes([2, n])
@@ -273,7 +278,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_classes_come_in_code_order(self, n):
-        codes = [code for code, _ in _enumerate_with_codes(n)]
+        codes = list(_enumerate_with_codes(n))
         assert all(x < y for x, y in zip(codes, codes[1:]))
         hexes = [code.hex() for code in codes]
         assert all(x < y for x, y in zip(hexes, hexes[1:]))
@@ -321,8 +326,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", sorted(CODE_DIGESTS))
     def test_codes_are_pinned(self, n):
         digest = hashlib.sha256()
-        for code, g in _enumerate_with_codes(n):
-            line = code.hex() + " " + " ".join(f"{u}-{v}" for u, v in g.edges)
+        for code, edges in coded_edges(n):
+            line = code.hex() + " " + " ".join(f"{u}-{v}" for u, v in edges)
             digest.update((line + "\n").encode())
         assert digest.hexdigest() == CODE_DIGESTS[n]
 
@@ -475,6 +480,23 @@ class TestVerify:
             "pair sets differ: missing=[(2, 1)] extra=[]",
             "pair count 7 != formula 8",
         )
+
+    def test_a_serial_sweep_builds_three_graphs_per_class(self, monkeypatch):
+        # the task decodes its class for the analysis and the Betti table,
+        # analyze_graph builds the rotated graph, and the sweep decodes the
+        # class again to yield it; the oracle flag reads the code alone
+        built = []
+        real_post_init = Graph.__post_init__
+
+        def counting_post_init(g):
+            built.append(g.n)
+            real_post_init(g)
+
+        monkeypatch.setattr(Graph, "__post_init__", counting_post_init)
+        reports = [verify(n, with_betti_oracle=True, use_cache=False) for n in range(2, 10)]
+        assert all(r.equal and r.counterexamples == () for r in reports)
+        assert sum(r.class_count for r in reports) == 983
+        assert len(built) == 2949
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_pool_report_matches_serial(self, n):

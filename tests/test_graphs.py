@@ -16,10 +16,13 @@ from toricgraph.graphs import (
     GraphFormatError,
     NotBipartiteError,
     SizeGuardExceededError,
+    _code_form,
     _code_graph,
     _doubly_sorted,
     _doubly_sorted_forms,
     _form_code,
+    _form_rows,
+    _split_classes,
     biadjacency_connected,
     bipartition,
     canonical_form,
@@ -565,7 +568,8 @@ class TestCanonicalForm:
             assert reference_code(g) == full_scan_code(g)
 
     def test_c12_within_guard_and_invariant(self):
-        # 6! row orders, and as many column orders for the transpose
+        # 6! row orders, and as many column orders: the guard reads both
+        # sides, and the search places the rows and transposes each form
         g = cycle_graph(12)
         code = canonical_form(g)
         for seed in range(4):
@@ -600,6 +604,59 @@ class TestCanonicalForm:
             with pytest.raises(SizeGuardExceededError, match="row orders"):
                 canonical_form(g)
         assert placed == []
+
+    @pytest.mark.parametrize("a", range(1, 6))
+    def test_transposing_maps_the_square_candidates_onto_themselves(self, a):
+        # the fact the square forms search rests on: the transpose of a
+        # doubly sorted a x a matrix is doubly sorted, entry (i, j) of a
+        # form being bit j of row i, and row i at bit (a - 1 - i) * a
+        def transpose(form):
+            return sum(1 << ((a - 1 - j) * a + i) for i in range(a) for j in range(a)
+                       if form >> ((a - 1 - i) * a + j) & 1)
+
+        held = set(_doubly_sorted(a, a))
+        assert {transpose(form) for form in held} == held
+        assert all(transpose(transpose(form)) == form for form in held)
+        assert all(graphs_mod._transpose(a, form) == transpose(form) for form in held)
+
+    def test_one_side_and_its_transposes_list_both_sides_at_5_plus_5(self):
+        # on every class of the 5 + 5 split, from its form and from that
+        # form with its columns reversed, the forms are those of a search
+        # that places the rows and, apart, the columns
+        full = (1 << 5) - 1
+        count = 0
+        for code in _split_classes(5, 5):
+            form_rows = _form_rows(5, 5, _code_form(code))
+            for rows in (form_rows, [int(format(r, "05b")[::-1], 2) for r in form_rows]):
+                cols = [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(5)]
+                both = set()
+                for side in (rows, cols):
+                    graphs_mod._place_rows(both, sorted(side), [(0, full)], full, 0, 0, 5)
+                assert _doubly_sorted_forms(5, 5, rows) == both
+            count += 1
+        assert count == 1897
+
+    def test_a_square_graph_is_searched_once_on_its_side_with_fewer_orders(self, monkeypatch):
+        # the rows 0011, 0111, 1011, 1111 are distinct, 4! orders; the
+        # columns 1111, 1111, 1010, 1100 have 4! / 2! orders, so the search
+        # places the columns, once, and so it does for the transposed graph
+        rows = [0b0011, 0b0111, 0b1011, 0b1111]
+        cols = [0b1111, 0b1111, 0b1010, 0b1100]
+        assert (graphs_mod._row_orders(rows), graphs_mod._row_orders(cols)) == (24, 12)
+        top = []
+        real = graphs_mod._place_rows
+
+        def spy(out, left, runs, bound, packed, shift, b):
+            if shift == 0:
+                top.append(left)
+            real(out, left, runs, bound, packed, shift, b)
+
+        monkeypatch.setattr(graphs_mod, "_place_rows", spy)
+        g, transposed = (Graph(8, tuple((i, 4 + j) for i, r in enumerate(side)
+                                        for j in range(4) if r >> j & 1))
+                         for side in (rows, cols))
+        assert canonical_form(g) == canonical_form(transposed)
+        assert top == [sorted(cols)] * 2
 
     @pytest.mark.parametrize("g", [cycle_graph(6), complete_bipartite(3, 3)], ids=["C6", "K33"])
     def test_refines_once_for_both_orientations(self, g, monkeypatch):
