@@ -55,17 +55,9 @@ from .toric import (
     vertex_degree_vector,
 )
 from .groebner import (
-    DEGLEX,
-    DEGREVLEX,
-    EQ,
-    GT,
-    LEX,
-    LT,
     MonomialIdeal,
-    MonomialOrder,
     ReducedGB,
     buchberger,
-    compare,
     initial_ideal,
     normal_form,
 )

@@ -240,14 +240,17 @@ def _trim_cache(n: int, kept: list[AtlasRecord]) -> None:
     leaves the old file whole."""
     path = _cache_path(n)
     try:
-        # text mode splits lines as cache_load does
+        # text mode splits lines as cache_load does; they are counted as
+        # read, so the file is never held whole
         with open(path, encoding="utf-8", errors="replace") as fh:
-            text = fh.read()
+            lines, line = 0, "\n"
+            for line in fh:
+                lines += 1
     except FileNotFoundError:
         return
     # every record of `kept` has a line of its own, so as many lines as
     # records, each ended, means no other line
-    if text.count("\n") == len(kept) and text[-1:] in ("", "\n"):
+    if lines == len(kept) and line.endswith("\n"):
         return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:

@@ -690,7 +690,7 @@ def canonical_form(g: Graph) -> bytes:
     if not is_connected(g):
         raise DisconnectedError("canonical forms are computed for connected graphs only")
     if g.n == 1:  # no edge, so no biadjacency row
-        return bytes([2, 1, 0])
+        return _form_code(0, 1, 0)
     row_part, col_part = sorted((parts.part_a, parts.part_b), key=len)
     column = {w: j for j, w in enumerate(col_part)}
     rows = [sum(1 << column[w] for w in g.neighbors[u]) for u in row_part]

@@ -1,15 +1,17 @@
-"""Monomial orders, binomial reduction, and reduced Groebner bases.
+"""Binomial reduction and reduced Groebner bases under degrevlex.
 
 Everything here is specialized to ideals generated by differences of
 monomials with unit coefficients: reducing a monomial by such a basis yields
 a single monomial, reducing a difference yields a difference or zero, so no
-general polynomial arithmetic is needed.  `buchberger` completes arbitrary
-binomial generators to the reduced basis by the textbook algorithm, skipping
-only the S-pairs of coprime leading monomials (the product criterion), and
-`initial_ideal` reads off its leading monomials.  The invariant pipeline
-needs neither: it takes the initial ideal from the even-cycle search in
-`toric`.  Both stay as the oracle the pipeline is checked against and as the
-public API for arbitrary binomial ideals.
+general polynomial arithmetic is needed.  The one term order is degrevlex
+with e_1 the highest variable: a quotient has the Hilbert function of its
+initial ideal under every term order, so no other order is needed.
+`buchberger` completes arbitrary binomial generators to the reduced basis by
+the textbook algorithm, skipping only the S-pairs of coprime leading
+monomials (the product criterion), and `initial_ideal` reads off its leading
+monomials.  The invariant pipeline needs neither: it takes the initial ideal
+from the even-cycle search in `toric`.  Both stay as the oracle the pipeline
+is checked against and as the public API for arbitrary binomial ideals.
 """
 
 from __future__ import annotations
@@ -19,48 +21,14 @@ from dataclasses import dataclass
 
 from .toric import Binomial, Monomial
 
-LT, EQ, GT = -1, 0, 1
 
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Total multiplicative order on monomials, of one of the kinds
-    degrevlex, deglex or lex; e_1 is the highest variable."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("degrevlex", "deglex", "lex"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-
-    def key(self, m: Monomial):
-        if self.kind == "lex":
-            return m
-        if self.kind == "deglex":
-            return (sum(m), m)
-        return (sum(m), tuple(-e for e in reversed(m)))
-
-
-DEGREVLEX = MonomialOrder("degrevlex")
-DEGLEX = MonomialOrder("deglex")
-LEX = MonomialOrder("lex")
-
-
-def compare(order: MonomialOrder, m1: Monomial, m2: Monomial) -> int:
-    """-1/0/1 comparison (constants LT, EQ, GT)."""
-    if len(m1) != len(m2):
-        raise ValueError(f"variable count mismatch: {len(m1)} vs {len(m2)}")
-    k1, k2 = order.key(m1), order.key(m2)
-    if k1 < k2:
-        return LT
-    if k1 > k2:
-        return GT
-    return EQ
+def _key(m: Monomial):
+    # degrevlex: higher degree first, then the smaller last differing exponent
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
 @dataclass(frozen=True)
 class ReducedGB:
-    order: MonomialOrder
     nvars: int
     elements: tuple[Binomial, ...]
 
@@ -108,16 +76,16 @@ def _nf_monomial(m, lms, tails, masks) -> Monomial:
             return m
 
 
-def normal_form(order, basis, target):
+def normal_form(basis, target):
     """Remainder of target (Binomial or Monomial) modulo the marked basis.
 
-    Basis elements must be oriented for `order` (plus = leading monomial).
+    Basis elements must be oriented for degrevlex (plus = leading monomial).
     A Binomial target reduces to a Binomial or to None (zero); a Monomial
     target reduces to a Monomial.
     """
     for b in basis:
-        if order.key(b.plus) <= order.key(b.minus):
-            raise ValueError(f"basis element not oriented for the order: {b}")
+        if _key(b.plus) <= _key(b.minus):
+            raise ValueError(f"basis element not oriented for degrevlex: {b}")
     lms = [b.plus for b in basis]
     tails = [b.minus for b in basis]
     masks = [_mask(m) for m in lms]
@@ -126,7 +94,7 @@ def normal_form(order, basis, target):
         b = _nf_monomial(target.minus, lms, tails, masks)
         if a == b:
             return None
-        if order.key(a) > order.key(b):
+        if _key(a) > _key(b):
             return Binomial(a, b)
         return Binomial(b, a)
     return _nf_monomial(target, lms, tails, masks)
@@ -145,13 +113,12 @@ def _ring_size(gens: list[Binomial], nvars: int | None) -> int:
     return nvars
 
 
-def _reduce(order: MonomialOrder, q: int, lms: list[Monomial], tails: list[Monomial]) -> ReducedGB:
+def _reduce(q: int, lms: list[Monomial], tails: list[Monomial]) -> ReducedGB:
     """Reduced basis from a marked Groebner basis (leading monomials `lms`,
     tails `tails`) of the ideal."""
-    key = order.key
     masks = [_mask(m) for m in lms]
     # minimalize: drop elements whose leading monomial another one divides
-    order_idx = sorted(range(len(lms)), key=lambda i: key(lms[i]))
+    order_idx = sorted(range(len(lms)), key=lambda i: _key(lms[i]))
     kept_idx: list[int] = []
     for i in order_idx:
         if not any(masks[j] & masks[i] == masks[j] and _divides(lms[j], lms[i])
@@ -165,11 +132,11 @@ def _reduce(order: MonomialOrder, q: int, lms: list[Monomial], tails: list[Monom
     elements = []
     for lm, tail in zip(min_lms, min_tails):
         elements.append(Binomial(lm, _nf_monomial(tail, min_lms, min_tails, min_masks)))
-    elements.sort(key=lambda b: key(b.plus))
-    return ReducedGB(order, q, tuple(elements))
+    elements.sort(key=lambda b: _key(b.plus))
+    return ReducedGB(q, tuple(elements))
 
 
-def buchberger(order: MonomialOrder, gens, nvars: int | None = None) -> ReducedGB:
+def buchberger(gens, nvars: int | None = None) -> ReducedGB:
     """Unique reduced Groebner basis of the ideal generated by `gens`.
 
     Textbook Buchberger: a pair is skipped only by the product criterion
@@ -180,7 +147,6 @@ def buchberger(order: MonomialOrder, gens, nvars: int | None = None) -> ReducedG
     """
     gens = list(gens)
     q = _ring_size(gens, nvars)
-    key = order.key
 
     lms: list[Monomial] = []
     tails: list[Monomial] = []
@@ -188,7 +154,7 @@ def buchberger(order: MonomialOrder, gens, nvars: int | None = None) -> ReducedG
     heap: list = []
 
     def add(a: Monomial, b: Monomial) -> None:
-        if key(a) < key(b):
+        if _key(a) < _key(b):
             a, b = b, a
         mask = _mask(a)
         for i, lm in enumerate(lms):
@@ -199,8 +165,8 @@ def buchberger(order: MonomialOrder, gens, nvars: int | None = None) -> ReducedG
         tails.append(b)
         masks.append(mask)
 
-    seed = [(g.plus, g.minus) if key(g.plus) > key(g.minus) else (g.minus, g.plus) for g in gens]
-    for a, b in sorted(seed, key=lambda ab: (key(ab[0]), key(ab[1]))):
+    seed = [(g.plus, g.minus) if _key(g.plus) > _key(g.minus) else (g.minus, g.plus) for g in gens]
+    for a, b in sorted(seed, key=lambda ab: (_key(ab[0]), _key(ab[1]))):
         a = _nf_monomial(a, lms, tails, masks)
         b = _nf_monomial(b, lms, tails, masks)
         if a != b:
@@ -215,7 +181,7 @@ def buchberger(order: MonomialOrder, gens, nvars: int | None = None) -> ReducedG
                 raise AssertionError("homogeneity lost in S-pair reduction")
             add(u, v)
 
-    return _reduce(order, q, lms, tails)
+    return _reduce(q, lms, tails)
 
 
 def initial_ideal(gb: ReducedGB) -> MonomialIdeal:

@@ -37,9 +37,7 @@ from dataclasses import dataclass
 
 from .graphs import DisconnectedError, Graph, is_connected
 from .groebner import (
-    DEGREVLEX,
     MonomialIdeal,
-    MonomialOrder,
     ReducedGB,
     _mask,
     buchberger,
@@ -184,11 +182,10 @@ def _numerator(gens: list[int]) -> IntPoly:
     return poly_trim(acc)
 
 
-def hilbert_numerator(ideal: MonomialIdeal, q: int) -> IntPoly:
+def hilbert_numerator(ideal: MonomialIdeal) -> IntPoly:
     """Numerator N(t) of the Hilbert series N(t)/(1-t)^q of the quotient by a
-    monomial ideal given by minimal generators."""
-    if ideal.nvars != q:
-        raise ValueError(f"ideal lives in {ideal.nvars} variables, not {q}")
+    monomial ideal in q = ideal.nvars variables, given by minimal
+    generators."""
     if any(sum(m) == 0 for m in ideal.gens):
         raise ValueError("unit generator: the quotient is the zero ring")
     return _numerator(_polarize(ideal.gens))
@@ -228,14 +225,12 @@ def _min_transversal(supports: list[int]) -> int:
     return best
 
 
-def krull_dimension(ideal: MonomialIdeal, q: int) -> int:
-    """dim of the quotient: q minus the smallest set of variables meeting the
-    support of every generator."""
-    if ideal.nvars != q:
-        raise ValueError(f"ideal lives in {ideal.nvars} variables, not {q}")
+def krull_dimension(ideal: MonomialIdeal) -> int:
+    """dim of the quotient: ideal.nvars minus the smallest set of variables
+    meeting the support of every generator."""
     if any(sum(m) == 0 for m in ideal.gens):
         raise ValueError("unit generator: the quotient is the zero ring")
-    return q - _min_transversal([_mask(m) for m in ideal.gens])
+    return ideal.nvars - _min_transversal([_mask(m) for m in ideal.gens])
 
 
 def _div_one_minus_t(p: IntPoly) -> IntPoly:
@@ -308,11 +303,11 @@ def _in_kernel(g: Graph, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int,
     return pairs
 
 
-def edge_ring_gb(g: Graph, order: MonomialOrder = DEGREVLEX) -> ReducedGB:
-    """Reduced Groebner basis of the toric ideal of g by Buchberger's
-    algorithm, the oracle for `edge_ring_hilbert`; every element is checked
-    to lie in the kernel of the edge-to-vertex map."""
-    gb = buchberger(order, toric_generators(g).generators, nvars=g.q)
+def edge_ring_gb(g: Graph) -> ReducedGB:
+    """Reduced degrevlex Groebner basis of the toric ideal of g by
+    Buchberger's algorithm, the oracle for `edge_ring_hilbert`; every element
+    is checked to lie in the kernel of the edge-to-vertex map."""
+    gb = buchberger(toric_generators(g).generators, nvars=g.q)
     for b in gb.elements:
         if not validate_kernel_membership(g, b):
             raise AssertionError("basis element escaped the kernel")

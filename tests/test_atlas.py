@@ -1031,3 +1031,25 @@ class TestCache:
         assert len(path.read_text(encoding="utf-8").splitlines()) == KNOWN_CLASS_COUNTS[6]
         strip = lambda rows: [(g.edges, r.code, r.invariants, r.h) for g, r, _ in rows]
         assert strip(resumed) == strip(again) == strip(fresh)
+
+    def test_a_clean_file_is_trimmed_in_bounded_memory(self, tmp_path, monkeypatch):
+        # 30 copies of the n = 9 records, about 22,000 lines and 3 MB: the
+        # lines are counted as they are read, so the file is never held whole
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        kept = [rec for _, rec, _ in sweep(9, use_cache=False)] * 30
+        path = tmp_path / "atlas-n9.jsonl"
+        clean = "".join(map(atlas_mod._cache_line, kept))
+        path.write_text(clean, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            atlas_mod._trim_cache(9, kept)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 30 * 730
+        assert peak < 1 << 20
+        assert path.read_text(encoding="utf-8") == clean
+        # a torn last line after the records is still no record
+        path.write_text(clean + clean[:40], encoding="utf-8")
+        atlas_mod._trim_cache(9, kept)
+        assert path.read_text(encoding="utf-8") == clean
