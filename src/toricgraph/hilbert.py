@@ -3,8 +3,9 @@
 A toric ideal and its initial ideal have the same Hilbert function
 (Sturmfels, *Groebner Bases and Convex Polytopes*, 1996), so the
 pipeline needs only the minimal leading halves of the even-cycle binomials:
-the cycle search `leading_cycles` grows only the cycles whose leading half
-contains no leading half kept before, as int edge masks, and `_minimal`
+the cycle search `leading_cycles` lists every 4-cycle first, then grows only
+the longer cycles whose leading half contains no leading half kept before
+(one AND per step tests the quadrics), all as int edge masks, and `_minimal`
 drops the halves that contain another.  No tail is reduced and no exponent
 tuple is built.  The full cycle enumeration (`toric_generators`) stays as the
 reference and feeds Buchberger's algorithm, the oracle `edge_ring_gb`.  The

@@ -104,18 +104,27 @@ def leading_cycles(g: Graph) -> tuple[tuple[int, int], ...]:
     e_{i+1}, the leading half first; a forest yields none.
 
     The halves of a cycle binomial are disjoint squarefree monomials of one
-    degree, and the half without the cycle's largest edge index leads.  Each
-    cycle is grown once: it leaves that largest edge (the root) from the
-    root's larger endpoint and walks through edges of smaller index, so the
-    leading half grows one edge at a time.  A branch is cut as soon as its
-    leading half contains the leading half K of a cycle kept before: K then
-    divides the cycle's leading monomial, so the cycle adds nothing to the
-    initial ideal.  This holds in any visiting order, so the kept cycles, a
-    subset of the universal Groebner basis `toric_generators(g)` with the
-    same initial ideal, are a Groebner basis.  (The incidence matrix of a
-    bipartite graph is totally unimodular, so its circuits, the even-cycle
-    binomials, form a universal Groebner basis: Sturmfels, *Groebner Bases
-    and Convex Polytopes*, 1996, ch. 8.)
+    degree, and the half without the cycle's largest edge index leads.  Every
+    4-cycle is listed first, once, from its vertex of highest degree (ties
+    by index), and its leading pair {a, b} is recorded in a partner mask per
+    edge.  Each longer cycle is then grown once: it leaves its largest edge
+    (the root) from the root's larger endpoint and walks through edges of
+    smaller index, so the leading half grows one edge at a time.  A branch is cut as soon as
+    its leading half contains the leading half K of a cycle kept before: one
+    AND with the new edge's partner mask finds a quadric K, and a scan of the
+    longer kept cycles through the new edge finds the rest.  K then divides
+    the cycle's leading monomial, so the cycle adds nothing to the initial
+    ideal.  This holds in any visiting order, so the kept cycles, a subset
+    of the universal Groebner basis `toric_generators(g)` with the same
+    initial ideal, are a Groebner basis, with every quadric among them.
+    (The incidence matrix of a bipartite graph is totally unimodular, so its
+    circuits, the even-cycle binomials, form a universal Groebner basis:
+    Sturmfels, *Groebner Bases and Convex Polytopes*, 1996, ch. 8.)  The
+    walk never keeps a 4-cycle again, since its closing step adds the
+    partner of the edge it already leads with.  Where the quadrics alone
+    give the initial ideal, as for a complete bipartite graph (Ohsugi-Hibi,
+    "Koszul bipartite graphs", 1999), every longer cycle is cut by one AND
+    at the latest on its closing step, and the walk keeps nothing.
     """
     if g.q == 0:
         raise EmptyEdgeSetError("graph has no edges")
@@ -126,35 +135,74 @@ def leading_cycles(g: Graph) -> tuple[tuple[int, int], ...]:
     for i, (u, v) in enumerate(g.edges):
         incident[u].append((i, v))
         incident[v].append((i, u))
-    kept_with: list[list[int]] = [[] for _ in range(g.q)]  # kept leading masks by member edge
+    quad = [0] * g.q  # quad[i]: the edges that lead a 4-cycle with edge i, as a mask
     found: list[tuple[int, int]] = []
+    # A 4-cycle x-y-x'-z is met once, from its top vertex x by (degree,
+    # index): the paths x-y-x' through lower vertices are grouped by the far
+    # end x', and any two of them close a 4-cycle.  This costs about the sum
+    # over edges of the smaller endpoint degree (Chiba-Nishizeki,
+    # "Arboricity and subgraph listing algorithms", 1985), so a hub meets
+    # few paths, and it holds only the paths from one x at a time.  With
+    # (i, k) the edges x-y, y-x' and (j, l) the edges x-z, z-x', the halves
+    # are {i, l} and {j, k}.
+    rank = [0] * g.n
+    for r, x in enumerate(sorted(range(g.n), key=lambda x: len(incident[x]))):
+        rank[x] = r
+    for x in range(g.n):
+        top = rank[x]
+        ends: dict[int, list[tuple[int, int]]] = {}  # x' -> its paths (i, k)
+        for i, y in incident[x]:
+            if rank[y] > top:
+                continue
+            for k, far in incident[y]:
+                if rank[far] >= top:
+                    continue
+                paths = ends.get(far)
+                if paths is None:
+                    ends[far] = [(i, k)]
+                    continue
+                for j, l in paths:
+                    if max(i, l) < max(j, k):  # the half without the largest index leads
+                        a, b, trail = i, l, 1 << j | 1 << k
+                    else:
+                        a, b, trail = j, k, 1 << i | 1 << l
+                    quad[a] |= 1 << b
+                    quad[b] |= 1 << a
+                    found.append((1 << a | 1 << b, trail))
+                paths.append((i, k))
+    # kept_with[i]: the leading masks through edge i of the longer kept cycles
+    kept_with: list[list[int]] = [[] for _ in range(g.q)]
 
     def walk(x: int, target: int, root: int, on_path: int, lead: int, trail: int,
              leads: bool) -> None:
+        if not leads:
+            # a trail step ends in the part of the root's larger endpoint, so
+            # never on the target
+            for i, w in incident[x]:
+                if i >= root:
+                    break
+                if not on_path >> w & 1:
+                    walk(w, target, root, on_path | 1 << w, lead, trail | 1 << i, True)
+            return
         for i, w in incident[x]:
             if i >= root:
                 break
-            if leads:
-                grown = lead | 1 << i
-                cut = False
-                for m in kept_with[i]:  # a plain loop: twice as fast as any()
-                    if m & grown == m:
-                        cut = True
-                        break
-                if cut:
-                    continue
-                nlead, ntrail = grown, trail
+            if lead & quad[i]:
+                continue
+            grown = lead | 1 << i
+            for m in kept_with[i]:  # a plain loop: twice as fast as any()
+                if m & grown == m:
+                    break
             else:
-                nlead, ntrail = lead, trail | 1 << i
-            if w == target:
-                found.append((nlead, ntrail))
-                b = nlead
-                while b:  # register it under each of its edges
-                    low = b & -b
-                    kept_with[low.bit_length() - 1].append(nlead)
-                    b ^= low
-            elif not on_path >> w & 1:
-                walk(w, target, root, on_path | 1 << w, nlead, ntrail, not leads)
+                if w == target:
+                    found.append((grown, trail))
+                    b = grown
+                    while b:  # register it under each of its edges
+                        low = b & -b
+                        kept_with[low.bit_length() - 1].append(grown)
+                        b ^= low
+                elif not on_path >> w & 1:
+                    walk(w, target, root, on_path | 1 << w, grown, trail, False)
 
     # The root sits at position 0 and trails, so the odd positions lead.  Roots
     # by rising index keep far fewer cycles than the reverse.  `walk` recurses

@@ -17,7 +17,7 @@ from toricgraph.graphs import (
     star,
 )
 from toricgraph.groebner import _key, _mask
-from toricgraph.hilbert import _minimal
+from toricgraph.hilbert import _minimal, invariant_tuple
 from toricgraph.toric import (
     Binomial,
     EmptyEdgeSetError,
@@ -139,16 +139,19 @@ def witness_grid():
 def assert_same_initial_ideal(g):
     """On g and on its rotated copy, the pruned search keeps only cycle
     binomials of that copy as (lead, trail) masks oriented for degrevlex,
-    and their minimal leading halves are the minimal leading monomials of
-    all of its cycle binomials: the leading terms of the same reduced
-    basis."""
+    each once, among them every 4-cycle binomial, and their minimal leading
+    halves are the minimal leading monomials of all of its cycle binomials:
+    the leading terms of the same reduced basis."""
     for h in (g, rotated(g)):
         oriented = set()
         for b in toric_generators(h).generators:
             lead, trail = sorted((b.plus, b.minus), key=_key, reverse=True)
             oriented.add((_mask(lead), _mask(trail)))
         kept = leading_cycles(h)
+        assert len(set(kept)) == len(kept), h.edges
         assert set(kept) <= oriented, h.edges
+        assert sorted(p for p in kept if p[0].bit_count() == 2) == sorted(
+            p for p in oriented if p[0].bit_count() == 2), h.edges
         assert sorted(_minimal(lead for lead, _ in kept)) == sorted(
             _minimal(lead for lead, _ in oriented)), h.edges
 
@@ -170,6 +173,43 @@ class TestLeadingCycleBinomials:
         assert len(enumerate_cycles(g)) == 15390
         for h in (g, rotated(g)):
             assert len(leading_cycles(h)) < 1539, h.edges
+
+    @pytest.mark.parametrize("g, kept", [
+        (complete_bipartite(5, 6), 150),
+        (complete_bipartite(5, 5), 100),
+        (complete_bipartite(4, 7), 126),
+        (complete_core_graph(14, 5, 35), 420),
+    ], ids=["K5,6", "K5,5", "K4,7", "hnrp-14-5-35"])
+    def test_kept_cycles_of_dense_graphs(self, g, kept):
+        # the 4-cycles are listed first, so a complete bipartite graph
+        # K_{a,b}, whose ideal has a quadratic Groebner basis, keeps its
+        # comb(a, 2) * comb(b, 2) quadrics and nothing else
+        for h in (g, rotated(g)):
+            assert len(leading_cycles(h)) == kept, h.edges
+
+    def test_dense_witness_past_the_benchmark(self):
+        # q = 63 on 16 vertices: the complete-core witness of (6, 48)
+        g = complete_core_graph(16, 6, 48)
+        assert g.q == 63
+        for h in (g, rotated(g)):
+            assert invariant_tuple(h).as_tuple() == (6, 6, 48, 15, 15)
+
+    def test_hubs_on_both_sides_stay_cheap(self):
+        # two adjacent hubs with 3,000 leaves each, one hub in each part: the
+        # 4-cycle listing holds the paths from one vertex at a time (at most
+        # 3,000 here), where a listing that held every wedge centred in
+        # either part would hold about 4.5 million
+        import tracemalloc
+
+        k = 3000
+        g = Graph(2 + 2 * k, ((0, 1),) + tuple((h, 2 + h * k + t) for h in (0, 1) for t in range(k)))
+        tracemalloc.start()
+        try:
+            assert leading_cycles(g) == ()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_not_bipartite(self):
         with pytest.raises(NotBipartiteError):
