@@ -46,6 +46,9 @@ ENUMERATION_GUARD = 10
 # the Betti oracle checks every class with at most this many edges
 BETTI_MAX_EDGES = 8
 CACHE_ENV = "TORIC_ATLAS_CACHE"
+# classes per pool task: one class is mostly IPC (about 1 ms of work at
+# n = 9), and small chunks keep the results streaming in code order
+CHUNKSIZE = 16
 
 
 @dataclass(frozen=True)
@@ -146,30 +149,36 @@ def analyze_graph(g: Graph, code: bytes) -> AtlasRecord:
                        data.h_poly, h_rot)
 
 
-def _job(task: tuple[bytes, AtlasRecord | None, bool]
-         ) -> tuple[AtlasRecord, list[tuple[str, bool]]]:
-    """The record of the class of code `task[0]`, analyzed when the task
-    holds none, and the Betti oracle's (property, ok) verdicts on it: none
-    with the oracle off, betti_oracle_agrees then
+def _job(task: tuple[bytes, AtlasRecord | bool, bool]
+         ) -> tuple[bytes, AtlasRecord | None, list[tuple[str, bool]]]:
+    """The code `task[0]` of a class, its new record or None, and the Betti
+    oracle's (property, ok) verdicts on it.  `task[1]` is False when the
+    class has no record yet, so it is analyzed here; True when the parent
+    holds its record; or that record itself when the oracle needs it.  The
+    verdicts are none with the oracle off, betti_oracle_agrees then
     betti_euler_matches_numerator with it on, and betti_oracle_agrees alone,
     failed, when a nonzero Betti number lies outside the record's (reg,
-    pdim).  The graph is decoded here from the code, so a task is small to
-    send and the sweep's own graphs cache nothing the analysis computes."""
-    code, rec, oracle = task
+    pdim).  The graph is decoded here from the code, and only to analyze it
+    or to build its table, so a task is small to send and the sweep's own
+    graphs cache nothing the analysis computes."""
+    code, cached, oracle = task
+    if cached is True:
+        return code, None, []
     g = _code_graph(code)
-    if rec is None:
-        rec = analyze_graph(g, code)
+    new = None if cached else analyze_graph(g, code)
     if not oracle:
-        return rec, []
+        return code, new, []
+    rec = cached or new
     try:
         table = betti_table(g, rec.reg, rec.pdim)
     except AssertionError:
-        return rec, [("betti_oracle_agrees", False)]
+        return code, new, [("betti_oracle_agrees", False)]
     numerator = rec.h
     for _ in range(g.q - rec.dim):
         numerator = poly_mul(numerator, (1, -1))
-    return rec, [("betti_oracle_agrees", invariants_from_betti(table) == (rec.reg, rec.pdim)),
-                 ("betti_euler_matches_numerator", euler_numerator(table) == numerator)]
+    return code, new, [
+        ("betti_oracle_agrees", invariants_from_betti(table) == (rec.reg, rec.pdim)),
+        ("betti_euler_matches_numerator", euler_numerator(table) == numerator)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,41 +310,52 @@ def sweep(
     with_betti_oracle: bool = False,
 ) -> Iterator[tuple[Graph, AtlasRecord, list[tuple[str, bool]]]]:
     """Yield (graph, record, verdicts) for every class on n vertices in code
-    order, each as its result arrives.  Records of graphs already analyzed
-    come from the JSONL cache, whose file is first trimmed to one line per
-    such graph; each new record is appended through one handle and flushed.
-    verdicts are _job's Betti oracle verdicts, empty for a class with more
-    than BETTI_MAX_EDGES edges or with the oracle off.  The sweep keeps each
-    class as (code, cached record or None, oracle flag) and yields a graph
-    decoded afresh from the code.  Each class that lacks a record or needs
-    verdicts is one task, that same triple, in code order; with jobs > 1 one
-    pool of that many workers runs them, opened before the cache is read
-    and the classes are enumerated, so no worker maps the parent's pages."""
+    order, each as its result arrives, in one pass: each class becomes one
+    task, _job's triple, as it is enumerated.  Records of graphs already
+    analyzed come from the JSONL cache and stay in this process unless the
+    Betti oracle needs them; each new record is appended through one handle
+    and flushed.  verdicts are _job's Betti oracle verdicts, empty for a
+    class with more than BETTI_MAX_EDGES edges or with the oracle off.  The
+    graph yielded is decoded afresh from the code.  With jobs > 1 one pool of
+    that many workers runs the tasks, opened before the cache is read and
+    the classes are enumerated, so no worker maps the parent's pages; its
+    task thread enumerates the classes while the workers analyze them.
+
+    The cache file is trimmed to its usable records before the first
+    append.  A cached record that no class took names no class, so the file
+    is then trimmed once more, to one line per class."""
     # enumeration checks it too, but only once the pool is open
     _check_guard(n, force)
     with Pool(jobs) if jobs > 1 else nullcontext() as pool:
         cached = cache_load(n) if use_cache else {}
-        # a class's edge count q is the popcount of the form its code packs
-        classes = [(code, cached.get(code.hex()),
-                    with_betti_oracle and _code_form(code).bit_count() <= BETTI_MAX_EDGES)
-                   for code in _enumerate_with_codes(n, force)]
         if use_cache:
-            _trim_cache(n, [rec for _, rec, _ in classes if rec is not None])
-        tasks = [task for task in classes if task[1] is None or task[2]]
+            _trim_cache(n, list(cached.values()))
+
+        # with a pool, task_of runs in the pool's task thread; it reads only
+        # codes that the loop below, which pops them, has not reached yet
+        def task_of(code: bytes) -> tuple[bytes, AtlasRecord | bool, bool]:
+            # a class's edge count q is the popcount of the form its code packs
+            oracle = with_betti_oracle and _code_form(code).bit_count() <= BETTI_MAX_EDGES
+            rec = cached.get(code.hex())
+            if rec is None:
+                return code, False, oracle
+            # a cached record stays here unless the oracle needs it
+            return code, rec if oracle else True, oracle
+
+        tasks = map(task_of, _enumerate_with_codes(n, force))
         # the file opens after the pool forks, so no worker holds the handle
-        with _cache_append(n) if use_cache and tasks else nullcontext() as out:
-            # one task per graph is mostly IPC (about 1 ms of work each at n = 9);
-            # 16 chunks keep the workers busy and the results streaming in order
-            done = (pool.imap(_job, tasks, chunksize=max(1, len(tasks) // 16))
-                    if pool else map(_job, tasks))
-            for code, rec, oracle in classes:
-                verdicts = []
-                if rec is None or oracle:
-                    new, verdicts = next(done)
-                    if rec is None and out is not None:
-                        cache_store(new, out)
+        with _cache_append(n) if use_cache else nullcontext() as out:
+            done = pool.imap(_job, tasks, chunksize=CHUNKSIZE) if pool else map(_job, tasks)
+            for code, new, verdicts in done:
+                if new is None:
+                    rec = cached.pop(code.hex())
+                else:
                     rec = new
+                    if out is not None:
+                        cache_store(new, out)
                 yield _code_graph(code), rec, verdicts
+    if cached:
+        _trim_cache(n, [rec for code, rec in cache_load(n).items() if code not in cached])
 
 
 def property_sweep(g: Graph, t: InvariantTuple, mat: int) -> list[tuple[str, bool]]:

@@ -103,12 +103,15 @@ def leading_cycles(g: Graph) -> tuple[tuple[int, int], ...]:
     degrevlex (e_1 > ... > e_q), as (lead, trail) edge masks with bit i for
     e_{i+1}, the leading half first; a forest yields none.
 
+    No cycle leaves the 2-core, so the vertices of degree 1 are peeled
+    first, repeatedly, and the search reads only the edges of the core that
+    is left: a forest costs time linear in its size, wherever its hubs sit.
     The halves of a cycle binomial are disjoint squarefree monomials of one
     degree, and the half without the cycle's largest edge index leads.  Every
-    4-cycle is listed first, once, from its vertex of highest degree (ties
-    by index), and its leading pair {a, b} is recorded in a partner mask per
-    edge.  Each longer cycle is then grown once: it leaves its largest edge
-    (the root) from the root's larger endpoint and walks through edges of
+    4-cycle is listed first, once, from its vertex of highest degree in the
+    core (ties by index), and its leading pair {a, b} is recorded in a
+    partner mask per edge.  Each longer cycle is then grown once: it leaves
+    its largest edge (the root) from the root's larger endpoint and walks through edges of
     smaller index, so the leading half grows one edge at a time.  A branch is cut as soon as
     its leading half contains the leading half K of a cycle kept before: one
     AND with the new edge's partner mask finds a quadric K, and a scan of the
@@ -135,6 +138,20 @@ def leading_cycles(g: Graph) -> tuple[tuple[int, int], ...]:
     for i, (u, v) in enumerate(g.edges):
         incident[u].append((i, v))
         incident[v].append((i, u))
+    # peel the vertices of degree 1 until the 2-core is left: core[x] is the
+    # degree of x among the vertices left, 0 once x is peeled
+    core = [len(edges) for edges in incident]
+    leaves = [x for x in range(g.n) if core[x] == 1]
+    while leaves:
+        x = leaves.pop()
+        core[x] = 0
+        for _, w in incident[x]:
+            if core[w]:
+                core[w] -= 1
+                if core[w] == 1:
+                    leaves.append(w)
+    incident = [[(i, w) for i, w in edges if core[w]] if core[x] else []
+                for x, edges in enumerate(incident)]
     quad = [0] * g.q  # quad[i]: the edges that lead a 4-cycle with edge i, as a mask
     found: list[tuple[int, int]] = []
     # A 4-cycle x-y-x'-z is met once, from its top vertex x by (degree,
@@ -209,7 +226,8 @@ def leading_cycles(g: Graph) -> tuple[tuple[int, int], ...]:
     # once per edge, so Python's recursion limit caps the length of a cycle.
     try:
         for root, (u, v) in enumerate(g.edges):
-            walk(v, u, root, 1 << u | 1 << v, 0, 1 << root, True)
+            if core[u] and core[v]:
+                walk(v, u, root, 1 << u | 1 << v, 0, 1 << root, True)
     except RecursionError:
         raise SizeGuardExceededError(
             f"a cycle is too long for the recursive cycle search "

@@ -551,18 +551,30 @@ class TestVerify:
         cold = verify(6, jobs=2, with_betti_oracle=True)
         # each class's record and verdicts come back from one task
         assert events == ["pool of 2", "imap"]
-        # warm and without the oracle there is no task, and still one pool
+        # warm and without the oracle each task returns at once, and still
+        # one pool: the workers, forked with the spy in place, analyze nothing
+        path = tmp_path / "atlas-n6.jsonl"
+        before = path.read_bytes()
+        real_analyze = atlas_mod.analyze_graph
+        marks = tmp_path / "analyzed"
+
+        def marking(g, code):
+            with open(marks, "a", encoding="utf-8") as fh:
+                fh.write(code.hex() + "\n")
+            return real_analyze(g, code)
+
+        monkeypatch.setattr(atlas_mod, "analyze_graph", marking)
         report = verify(6, jobs=2)
         assert events == ["pool of 2", "imap"] * 2
         assert report.equal and report.counterexamples == ()
+        assert not marks.exists()
+        assert path.read_bytes() == before
         # warm, the classes with q <= 8 go to the pool for their verdicts alone
-        path = tmp_path / "atlas-n6.jsonl"
-        before = path.read_bytes()
         warm = verify(6, jobs=2, with_betti_oracle=True)
         assert events == ["pool of 2", "imap"] * 3
+        assert not marks.exists()
         assert path.read_bytes() == before
         assert warm == cold and cold.counterexamples == ()
-        real_analyze = atlas_mod.analyze_graph
         analyzed = []
 
         def spy(g, code):
@@ -595,7 +607,23 @@ class TestVerify:
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         report = verify(6, jobs=2)
         assert report.equal and report.counterexamples == ()
-        assert events == ["pool of 2", "cache_load", *["class"] * KNOWN_CLASS_COUNTS[6], "imap"]
+        # one pass: imap takes the classes as they are enumerated
+        assert events == ["pool of 2", "cache_load", "imap", *["class"] * KNOWN_CLASS_COUNTS[6]]
+
+    def test_a_serial_sweep_enumerates_only_as_far_as_it_has_yielded(self, monkeypatch):
+        real_enumerate = atlas_mod._enumerate_with_codes
+        enumerated = []
+
+        def enumerating(n, force=False):
+            for code in real_enumerate(n, force):
+                enumerated.append(code)
+                yield code
+
+        monkeypatch.setattr(atlas_mod, "_enumerate_with_codes", enumerating)
+        rows = sweep(8, use_cache=False)
+        _, rec, _ = next(rows)
+        assert len(enumerated) == 1 and rec.code == enumerated[0].hex()
+        rows.close()
 
     def test_a_refused_n_starts_no_worker(self, monkeypatch):
         events = []
@@ -849,6 +877,26 @@ class TestCache:
         assert stale not in lines and len(lines) == KNOWN_CLASS_COUNTS[6]
         (c6,) = [d for d in lines if d["code"] == rec.code]
         assert c6["reg"] == rec.invariants.reg
+
+    def test_a_well_formed_code_of_no_class_is_never_used(self, tmp_path, monkeypatch):
+        # header 2, n = 6 and a = 255 > n: the code is well formed but names
+        # no class and cannot be decoded; the sweep never looks it up, and
+        # the line is dropped once the sweep is over
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        fresh = list(sweep(6, use_cache=False))
+        verify(6)
+        path = tmp_path / "atlas-n6.jsonl"
+        first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(dict(first, code="0206ff", reg=first["reg"] + 1)) + "\n")
+        assert "0206ff" in cache_load(6)
+        rows = list(sweep(6))
+        assert all(rec.code != "0206ff" for _, rec, _ in rows)
+        strip = lambda rows: [(g.edges, r.code, r.invariants, r.h) for g, r, _ in rows]
+        assert strip(rows) == strip(fresh)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == KNOWN_CLASS_COUNTS[6]
+        assert "0206ff" not in cache_load(6)
 
     def test_lines_of_an_older_schema_warn_once_and_are_analyzed_again(
         self, tmp_path, monkeypatch

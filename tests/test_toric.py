@@ -211,6 +211,21 @@ class TestLeadingCycleBinomials:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_pendant_trees_are_peeled_before_the_search(self):
+        # a star whose hub has the largest label: every root would meet the
+        # hub last and try each smaller edge there, quadratic in the leaves
+        import time
+
+        k = 20000
+        hub_last = Graph(k + 1, tuple((t, k) for t in range(k)))
+        start = time.perf_counter()
+        assert leading_cycles(hub_last) == ()
+        assert time.perf_counter() - start < 2
+        # C_6 on 0..5 with a pendant tree hung on its largest vertex
+        g = Graph(10, tuple((i, (i + 1) % 6) for i in range(6)) + ((5, 6), (6, 7), (6, 8), (8, 9)))
+        assert len(leading_cycles(g)) == 1
+        assert_same_initial_ideal(g)
+
     def test_not_bipartite(self):
         with pytest.raises(NotBipartiteError):
             leading_cycles(cycle_graph(5))
