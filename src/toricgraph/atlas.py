@@ -13,6 +13,7 @@ import json
 import os
 import shutil
 import tempfile
+import threading
 import time
 import warnings
 from collections.abc import Iterator
@@ -319,7 +320,9 @@ def sweep(
     graph yielded is decoded afresh from the code.  With jobs > 1 one pool of
     that many workers runs the tasks, opened before the cache is read and
     the classes are enumerated, so no worker maps the parent's pages; its
-    task thread enumerates the classes while the workers analyze them.
+    task thread enumerates the classes while the workers analyze them.  When
+    the sweep fails with an Exception, such as a worker's, the pool is
+    closed and joined before the error leaves it.
 
     The cache file is trimmed to its usable records before the first
     append.  A cached record that no class took names no class, so the file
@@ -342,18 +345,38 @@ def sweep(
             # a cached record stays here unless the oracle needs it
             return code, rec if oracle else True, oracle
 
-        tasks = map(task_of, _enumerate_with_codes(n, force))
+        stopped = threading.Event()
+
+        def tasks():
+            for code in _enumerate_with_codes(n, force):
+                if stopped.is_set():
+                    return
+                yield task_of(code)
+
         # the file opens after the pool forks, so no worker holds the handle
         with _cache_append(n) if use_cache else nullcontext() as out:
-            done = pool.imap(_job, tasks, chunksize=CHUNKSIZE) if pool else map(_job, tasks)
-            for code, new, verdicts in done:
-                if new is None:
-                    rec = cached.pop(code.hex())
-                else:
-                    rec = new
-                    if out is not None:
-                        cache_store(new, out)
-                yield _code_graph(code), rec, verdicts
+            done = pool.imap(_job, tasks(), chunksize=CHUNKSIZE) if pool else map(_job, tasks())
+            try:
+                for code, new, verdicts in done:
+                    if new is None:
+                        rec = cached.pop(code.hex())
+                    else:
+                        rec = new
+                        if out is not None:
+                            cache_store(new, out)
+                    yield _code_graph(code), rec, verdicts
+            except Exception:
+                if pool is not None:
+                    # leaving the `with` terminates the pool, which can kill
+                    # a worker that holds the result queue's lock and hang;
+                    # so the stream stops and the tasks in flight finish
+                    # first: the pool's result thread drains their results,
+                    # a bounded number since the task thread blocks once the
+                    # task pipe is full, and join returns when workers exit
+                    stopped.set()
+                    pool.close()
+                    pool.join()
+                raise
     if cached:
         _trim_cache(n, [rec for code, rec in cache_load(n).items() if code not in cached])
 

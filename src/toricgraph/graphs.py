@@ -18,7 +18,6 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import product
 from math import factorial, prod
 
 
@@ -451,11 +450,15 @@ def max_edges_for_reg(r: int, n: int) -> int:
 #
 # _doubly_sorted builds the candidates of a split (a, b) by orderly
 # generation (Read 1978; McKay 1998) into one sorted array('Q'), so a form
-# has at most _FORM_BITS bits; _split_classes walks them with one "met" byte
-# per candidate and lists the split's classes; and canonical_form packs a
-# Graph and takes the smallest form the forms search lists.  A connected
-# bipartite graph has a unique bipartition up to swapping the parts, so no
-# class appears under two splits.
+# has at most _FORM_BITS bits.  Its row step, _extend_rows, forms only the
+# rows it keeps: walking the column runs from the most significant down, it
+# reads off which cuts keep the row at most the one before, so no row is
+# built to be filtered out, and the last row is written straight to its
+# bucket.  _split_classes walks the candidates with one "met" byte per
+# candidate and lists the split's classes; and canonical_form packs a Graph
+# and takes the smallest form the forms search, _place_rows, lists.  A
+# connected bipartite graph has a unique bipartition up to swapping the
+# parts, so no class appears under two splits.
 
 _PERM_GUARD = 200_000
 _MAX_CODE_VERTICES = 255  # the code header stores n in one byte
@@ -482,26 +485,52 @@ def _extend_rows(out: defaultdict[int, array], left: int, b: int,
     # Choose row r_{left-1} <= bound, stored at bit `shift` of `packed`; `acc`
     # is the union of the rows chosen so far.  The columns of a run [lo, hi)
     # are tied on every row chosen so far, so there the new row must read
-    # 0..01..1 (bit j is column j) to keep the columns sorted; the run then
-    # splits into its 0-part and its 1-part.  A finished matrix goes to the
-    # bucket of its top row r_0, the row chosen last, which is `bound`.
-    if not left:
-        if acc == (1 << b) - 1:
-            out[bound].append(packed)
-        return
-    for cuts in product(*(range(lo, hi + 1) for lo, hi in runs)):
-        row = 0
-        for (lo, hi), cut in zip(runs, cuts):
-            row |= (1 << hi) - (1 << cut)
-        if not 0 < row <= bound:
+    # 0..01..1 (bit j is column j) to keep the columns sorted: its ones are
+    # [cut, hi) for some cut in lo..hi, and the run splits at the cut into
+    # its 0-part and its 1-part.  `runs` go from the most significant down,
+    # and `bound` and `acc` read all 0 or all 1 across each run.  While the
+    # new row ties `bound` on the runs walked, a run where `bound` reads 0
+    # admits only the cut hi, and a cut above lo where `bound` reads 1 takes
+    # the row below `bound`, which frees every lower run.  The last row,
+    # r_0, must fill the columns no row has met, so it reads 1 across a run
+    # where `acc` reads 0; each finished matrix goes to the bucket of r_0.
+    # The walk can form one zero row, an isolated vertex, which is skipped.
+    last = left == 1
+    tied, free = 0, []  # the row that still ties `bound` (None: none), the rows below it
+    for lo, hi in runs:
+        run = (1 << hi) - (1 << lo)
+        if last and not acc & run:
+            blocks = [run]
+        else:
+            blocks = [(1 << hi) - (1 << cut) for cut in range(lo, hi + 1)]
+        free = [row | block for row in free for block in blocks]
+        if tied is None:
             continue
-        split = tuple(
-            part
-            for (lo, hi), cut in zip(runs, cuts)
-            for part in ((lo, cut), (cut, hi))
-            if part[0] < part[1]
-        )
-        _extend_rows(out, left - 1, b, split, row, packed | row << shift, shift + b, acc | row)
+        if bound & run:
+            # blocks[0] == run, the cut lo, keeps the tie
+            free += [tied | block for block in blocks[1:]]
+            tied |= run
+        elif blocks[-1]:  # the cut hi, a 0 across the run, is not admitted
+            tied = None
+    if tied is not None:
+        free.append(tied)
+    if last:
+        for row in free:
+            if row:
+                out[row].append(packed | row << shift)
+        return
+    for row in free:
+        if not row:
+            continue
+        split = []
+        for lo, hi in runs:
+            cut = hi - (row >> lo & (1 << (hi - lo)) - 1).bit_count()
+            if cut < hi:
+                split.append((cut, hi))
+            if lo < cut:
+                split.append((lo, cut))
+        _extend_rows(out, left - 1, b, tuple(split), row, packed | row << shift,
+                     shift + b, acc | row)
 
 
 def _check_form_bits(a: int, b: int) -> None:
@@ -515,11 +544,12 @@ def _check_form_bits(a: int, b: int) -> None:
 def _doubly_sorted(a: int, b: int) -> array:
     """Every doubly sorted a x b matrix, packed, in one sorted array('Q').
     Its rows are chosen from r_{a-1} down to r_0, each at most the one
-    before.  The matrices are gathered by their top row r_0, which holds the
-    most significant bits, and each bucket is sorted on its own and joined
-    in top-row order, so no list of the whole split is built.  Raises
-    SizeGuardExceededError, before any matrix is built, when a * b exceeds
-    _FORM_BITS."""
+    before, and only such rows are formed; r_0 also meets every column that
+    no other row meets.  The matrices are gathered by their top row r_0,
+    which holds the most significant bits, and each bucket is sorted on its
+    own and joined in top-row order, so no list of the whole split is
+    built.  Raises SizeGuardExceededError, before any matrix is built, when
+    a * b exceeds _FORM_BITS."""
     _check_form_bits(a, b)
     buckets: defaultdict[int, array] = defaultdict(partial(array, "Q"))
     _extend_rows(buckets, a, b, ((0, b),), (1 << b) - 1, 0, 0, 0)
@@ -529,12 +559,12 @@ def _doubly_sorted(a: int, b: int) -> array:
     return out
 
 
-def _place_rows(out: set[int], left: list[int], runs: list[tuple[int, int]],
+def _place_rows(out: set[int], left: list[int], runs: list[tuple[int, int, int]],
                 bound: int, packed: int, shift: int, b: int) -> None:
     # Place each distinct row of `left` (sorted, bit j is original column j)
     # at the next position down, stored at bit `shift` of `packed`.  A run
-    # (lo, mask) holds the original columns in `mask`, tied on every row
-    # placed so far, which sort to positions lo, lo+1, ...; so, as in
+    # (lo, mask, hi) holds the original columns in `mask`, tied on every row
+    # placed so far, which sort to positions lo .. hi-1; so, as in
     # _extend_rows, the new row's ones in a run take its top positions
     # and the run splits into its 0-part and its 1-part.  `bound` is the row
     # placed last, and no row still to place may end above it.  A row's
@@ -543,23 +573,30 @@ def _place_rows(out: set[int], left: list[int], runs: list[tuple[int, int]],
     # `bound`, the row agrees with `bound` on the runs above some run where
     # `bound` reads 0 and the row has a one; the later rows only reorder
     # columns inside runs, so the row ends above `bound` and the branch dies.
-    if not left:
-        out.add(packed)
+    # The last row left is placed here, its value being its final row.
+    if len(left) == 1:
+        r, row = left[0], 0
+        for lo, mask, hi in runs:
+            row |= (1 << hi) - (1 << (hi - (r & mask).bit_count()))
+        if row <= bound:
+            out.add(packed | row << shift)
         return
     placed = []
     for i, r in enumerate(left):
         if i and r == left[i - 1]:
             continue  # an equal row places the same matrix
         row, split = 0, []
-        for lo, mask in runs:
+        for run in runs:
+            lo, mask, hi = run
             ones = r & mask
-            hi = lo + mask.bit_count()
-            top = hi - ones.bit_count()
-            row |= (1 << hi) - (1 << top)
-            if ones != mask:
-                split.append((lo, mask ^ ones))
-            if ones:
-                split.append((top, ones))
+            if ones == mask:
+                row |= (1 << hi) - (1 << lo)
+            elif ones:
+                top = hi - ones.bit_count()
+                row |= (1 << hi) - (1 << top)
+                split.append((lo, mask ^ ones, top))
+                run = (top, ones, hi)
+            split.append(run)
         if row > bound:
             return
         placed.append((i, row, split))
@@ -581,8 +618,15 @@ def _columns(b: int, rows: list[int]) -> list[int]:
 def _transpose(a: int, form: int) -> int:
     # the a x a form whose rows are the columns of `form`: they are
     # nondecreasing, and its columns are the rows of `form`, so it is a
-    # doubly sorted form of the same class
-    return sum(c << ((a - 1 - j) * a) for j, c in enumerate(_columns(a, _form_rows(a, a, form))))
+    # doubly sorted form of the same class.  Entry (i, j) sits at bit
+    # (a-1-i)*a + j, so the set bit at p = k*a + j moves to a*a-1 - (j*a + k)
+    last, out = a * a - 1, 0
+    while form:
+        low = form & -form
+        k, j = divmod(low.bit_length() - 1, a)
+        out |= 1 << (last - j * a - k)
+        form ^= low
+    return out
 
 
 def _doubly_sorted_forms(a: int, b: int, rows: list[int]) -> set[int]:
@@ -610,7 +654,7 @@ def _doubly_sorted_forms(a: int, b: int, rows: list[int]) -> set[int]:
         )
     full = (1 << b) - 1
     forms: set[int] = set()
-    _place_rows(forms, sorted(sides[orders.index(min(orders))]), [(0, full)], full, 0, 0, b)
+    _place_rows(forms, sorted(sides[orders.index(min(orders))]), [(0, full, b)], full, 0, 0, b)
     if a == b:
         forms |= {_transpose(a, form) for form in forms}
     return forms
@@ -638,9 +682,13 @@ def _code_graph(code: bytes) -> Graph:
     """The graph of a code of _form_code, its inverse: edge (i, a + j) joins
     row i to column j of the form, in row-major order."""
     n, a = code[1], code[2]
-    b = n - a
-    rows = _form_rows(a, b, _code_form(code))
-    return Graph(n, tuple((i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1))
+    edges = []
+    for i, r in enumerate(_form_rows(a, n - a, _code_form(code))):
+        while r:
+            low = r & -r
+            edges.append((i, a + low.bit_length() - 1))
+            r ^= low
+    return Graph(n, tuple(edges))
 
 
 def _split_classes(a: int, b: int):

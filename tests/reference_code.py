@@ -1,4 +1,5 @@
-"""Reference canonical code of connected bipartite graphs, kept for the tests.
+"""References kept for the tests: the canonical code of connected bipartite
+graphs, and the candidate generator of each split.
 
 An independent definition of the class of a graph: iterated neighbourhood
 refinement of both parts, then a scan of the row orders within the row
@@ -7,11 +8,16 @@ when the parts have equal size.  Codes carry header bytes 1, n, a.  The
 package names a class by its smallest doubly sorted form instead (header
 byte 2); the tests check that the two codes induce the same classes, and the
 enumeration and record digests are taken over these codes.
+
+reference_doubly_sorted lists a split's doubly sorted matrices by forming
+every row that keeps the columns sorted and filtering on the bound, the
+generator that graphs._doubly_sorted must agree with.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from math import factorial, prod
 
 from toricgraph.graphs import (
@@ -20,6 +26,7 @@ from toricgraph.graphs import (
     DisconnectedError,
     Graph,
     SizeGuardExceededError,
+    _check_form_bits,
     bipartition,
     is_connected,
 )
@@ -154,3 +161,36 @@ def reference_code(g: Graph) -> bytes:
     column = {w: j for j, w in enumerate(col_part)}
     rows = [sum(1 << column[w] for w in g.neighbors[u]) for u in row_part]
     return biadjacency_code(len(row_part), len(col_part), rows)
+
+
+def _reference_rows(out: list[int], left: int, b: int, runs: tuple[tuple[int, int], ...],
+                    bound: int, packed: int, shift: int, acc: int) -> None:
+    # Every row that reads 0..01..1 on each run [lo, hi) of columns tied so
+    # far, with its ones at [cut, hi), kept when 0 < row <= bound; a finished
+    # matrix is kept when no column is zero.
+    if not left:
+        if acc == (1 << b) - 1:
+            out.append(packed)
+        return
+    for cuts in itertools.product(*(range(lo, hi + 1) for lo, hi in runs)):
+        row = 0
+        for (lo, hi), cut in zip(runs, cuts):
+            row |= (1 << hi) - (1 << cut)
+        if not 0 < row <= bound:
+            continue
+        split = tuple(
+            part
+            for (lo, hi), cut in zip(runs, cuts)
+            for part in ((lo, cut), (cut, hi))
+            if part[0] < part[1]
+        )
+        _reference_rows(out, left - 1, b, split, row, packed | row << shift, shift + b, acc | row)
+
+
+def reference_doubly_sorted(a: int, b: int) -> array:
+    """Every doubly sorted a x b matrix packed as graphs._doubly_sorted packs
+    it, r_0 most significant, in one sorted array('Q')."""
+    _check_form_bits(a, b)
+    out: list[int] = []
+    _reference_rows(out, a, b, ((0, b),), (1 << b) - 1, 0, 0, 0)
+    return array("Q", sorted(out))

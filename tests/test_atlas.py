@@ -9,7 +9,7 @@ import pytest
 
 import toricgraph.atlas as atlas_mod
 import toricgraph.graphs as graphs_mod
-from reference_code import biadjacency_code, reference_code
+from reference_code import biadjacency_code, reference_code, reference_doubly_sorted
 from toricgraph.atlas import (
     CACHE_ENV,
     _enumerate_with_codes,
@@ -314,6 +314,13 @@ class TestEnumeration:
             b = n - a
             got = [unpack_rows(p, a, b) for p in _doubly_sorted(a, b)]
             assert got == filtered_rows(a, b), (a, b)
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_generation_matches_the_reference_generator(self, n):
+        # the walk that forms only admissible rows, against the generator
+        # that forms every row keeping the columns sorted and filters them
+        for a in range(1, n // 2 + 1):
+            assert _doubly_sorted(a, n - a) == reference_doubly_sorted(a, n - a), (a, n - a)
 
     @pytest.mark.parametrize("n", sorted(ENUMERATION_DIGESTS))
     def test_enumeration_order_is_pinned(self, n):
@@ -677,6 +684,57 @@ class TestVerify:
         assert code == 3
         assert "internal error: kernel check failed" in err.splitlines()
         assert not out.exists()
+
+    def test_a_fault_in_a_worker_joins_the_pool_before_it_terminates(
+            self, monkeypatch, tmp_path, capsys):
+        # the jobs=2 twin: the AssertionError comes back from a worker, and
+        # the sweep closes and joins the pool before leaving its `with`
+        # block terminates it, since a terminate with tasks in flight can
+        # kill a worker that holds the result queue's lock and hang
+        import os
+        import threading
+        from multiprocessing.pool import Pool as PoolClass
+
+        from toricgraph import cli
+
+        real = atlas_mod.edge_ring_hilbert
+        c6 = canonical_form(cycle_graph(6))
+
+        def faulty(g):
+            if canonical_form(g) == c6:
+                raise AssertionError("kernel check failed")
+            return real(g)
+
+        events = []
+        real_join, real_terminate = PoolClass.join, PoolClass.terminate
+
+        def join(pool):
+            joining = threading.Thread(target=real_join, args=(pool,), daemon=True)
+            joining.start()
+            joining.join(60)
+            assert not joining.is_alive(), "the pool did not join within 60 s"
+            events.append("joined")
+
+        def terminate(pool):
+            events.append("terminate")
+            real_terminate(pool)
+
+        monkeypatch.setattr(atlas_mod, "edge_ring_hilbert", faulty)
+        monkeypatch.setattr(PoolClass, "join", join)
+        monkeypatch.setattr(PoolClass, "terminate", terminate)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(AssertionError, match="kernel check failed"):
+            verify(6, jobs=2, with_betti_oracle=True, use_cache=False)
+        assert events == ["joined", "terminate"]
+        events.clear()
+        out = tmp_path / "report.json"
+        code = cli.main(["verify", "--n", "6", "--with-betti-oracle", "--no-cache",
+                         "--jobs", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "internal error: kernel check failed" in err.splitlines()
+        assert not out.exists()
+        assert events == ["joined", "terminate"]
 
     def test_verify_checks_one_sweep(self, monkeypatch):
         import inspect

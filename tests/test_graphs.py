@@ -631,7 +631,7 @@ class TestCanonicalForm:
                 cols = [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(5)]
                 both = set()
                 for side in (rows, cols):
-                    graphs_mod._place_rows(both, sorted(side), [(0, full)], full, 0, 0, 5)
+                    graphs_mod._place_rows(both, sorted(side), [(0, full, 5)], full, 0, 0, 5)
                 assert _doubly_sorted_forms(5, 5, rows) == both
             count += 1
         assert count == 1897
